@@ -2,8 +2,8 @@
 //! two parts:
 //!
 //! * `write_path_*` — one fact-toggle write cycle per iteration,
-//!   through each tier of the stack: `service_inproc` is the PR 4
-//!   baseline (caller-driven leader election on the submitting
+//!   through each tier of the stack: `service_inproc` is the baseline
+//!   (a blocking `Service` call running its cycle on the submitting
 //!   thread), `async_tier` adds the dedicated writer thread and
 //!   bounded queue (submit + handle.wait()), and `wire_tcp` adds the
 //!   full length-prefixed loopback round trip. The deltas between the

@@ -471,11 +471,13 @@ fn run_worker(state: &RunState, w: usize) {
         // Release dependents. The first released task is kept in hand
         // (the common chain case pays no queue traffic); the rest go to
         // this worker's deque, visible to thieves. Chaos mode queues
-        // everything so the seeded pops scramble the order fully.
-        let mut released = 0usize;
+        // everything so the seeded pops scramble the order fully. Each
+        // release is counted before the task becomes poppable: a thief
+        // that starts it decrements `ready_now` only after this add.
         for &d in state.graph.dependents(ti as usize) {
             if state.indeg[d as usize].fetch_sub(1, SeqCst) == 1 {
-                released += 1;
+                let now = state.ready_now.fetch_add(1, SeqCst) + 1;
+                state.max_ready.fetch_max(now, SeqCst);
                 if in_hand.is_none() && rng.is_none() {
                     in_hand = Some(d);
                 } else {
@@ -489,10 +491,6 @@ fn run_worker(state: &RunState, w: usize) {
                     }
                 }
             }
-        }
-        if released > 0 {
-            let now = state.ready_now.fetch_add(released, SeqCst) + released;
-            state.max_ready.fetch_max(now, SeqCst);
         }
         if state.remaining.fetch_sub(1, SeqCst) == 1 {
             // Last task: wake every parked worker so the run can end.
@@ -648,6 +646,30 @@ mod tests {
             );
             check_schedule(&sched, WIDE);
             check_schedule(&sched, CHAIN);
+        }
+    }
+
+    #[test]
+    fn ready_width_never_exceeds_the_task_count() {
+        // A thief may start a released task as soon as it is queued; the
+        // ready counter must already include it, or the width wraps.
+        for seed in 0..256u64 {
+            let sched = Wavefront::with_options(
+                4,
+                WavefrontOptions {
+                    min_par_tasks: 0,
+                    chaos: Some(seed),
+                },
+            );
+            for src in [WIDE, CHAIN] {
+                let run = check_schedule(&sched, src);
+                assert!(
+                    run.max_ready_width <= run.tasks,
+                    "seed {seed}: width {} over {} tasks",
+                    run.max_ready_width,
+                    run.tasks
+                );
+            }
         }
     }
 

@@ -69,9 +69,10 @@ fn main() {
         }
 
         // The writer extends the game live: c stops being a sink, then
-        // the whole tail is torn down again. Each submission publishes a
-        // new version; concurrent submissions would coalesce into shared
-        // write cycles.
+        // the whole tail is torn down again. Each blocking call runs its
+        // own write cycle and publishes a new version; to coalesce
+        // concurrent submissions into shared cycles, submit through an
+        // `afp::AsyncService` instead.
         let service = &service;
         for delta in [
             "move(c, d).", // c can now move: wins(c) flips

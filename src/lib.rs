@@ -101,8 +101,8 @@ pub enum Error {
     /// non-ground rule on a session without grounder state
     /// ([`Engine::load_ground`] keeps no envelope to instantiate over).
     NotGroundRule(String),
-    /// A [`Service`] write cycle's leader thread panicked before this
-    /// queued delta could be applied. The delta was **not** applied and
+    /// An [`AsyncService`] write cycle panicked before this queued delta
+    /// could be applied. The delta was **not** applied and
     /// no version containing it was published; resubmitting is safe.
     WriterAborted,
     /// The bounded write queue of an [`AsyncService`] was full at

@@ -448,113 +448,54 @@ pub fn model_json(version: u64, model: &Model) -> String {
 // Execution
 // ---------------------------------------------------------------------
 
-/// What a protocol front end needs from the serving stack. Implemented
-/// by [`Service`] (direct, caller-thread write cycles) and
-/// [`AsyncService`] (dedicated writer thread with admission control);
-/// the transport layer wraps the latter to add connection counters.
+/// What a protocol front end needs from the serving stack: the
+/// [`Service`] whose published versions it reads, plus what differs
+/// between backends — how a delta is submitted, whether the writer is
+/// live, and which [`NetStats`] it reports. Implemented by [`Service`]
+/// (blocking writes, one delta per cycle on the calling thread) and
+/// [`AsyncService`] (the one write queue: a dedicated writer thread with
+/// admission control and coalescing); the transport layer wraps the
+/// latter to add connection counters.
 pub trait ServeBackend: Sync {
-    /// Pin the current version.
-    fn snapshot(&self) -> ModelSnapshot;
-    /// The current version number.
-    fn version(&self) -> u64;
-    /// Pin a cached earlier version.
-    fn at_version(&self, version: u64) -> Result<ModelSnapshot, Error>;
+    /// The service every read, checkpoint, stats and metrics command
+    /// answers from.
+    fn service(&self) -> &Service;
     /// Submit one delta and block until its cycle resolves.
     fn submit(&self, kind: DeltaKind, text: &str) -> Result<u64, Error>;
-    /// Applied deltas with version > `since`.
-    fn changelog_since(&self, since: u64) -> Result<Vec<AppliedDelta>, Error>;
-    /// Readiness probe: the current version, whether the write path is
-    /// accepting work, and uptime in milliseconds. Must not queue
-    /// behind the writer.
-    fn ping(&self) -> (u64, bool, u64);
-    /// Write a durability checkpoint now; [`Error::Journal`] on an
-    /// unjournaled backend.
-    fn checkpoint(&self) -> Result<u64, Error>;
-    /// The full `--stats` JSON object for this backend.
-    fn stats_json(&self) -> String;
-    /// The `metrics` exposition body ([`crate::Telemetry::render`]):
-    /// JSON or Prometheus text per the backend's configured format.
-    fn metrics_text(&self) -> String;
+    /// Whether the write path is accepting work — the liveness half of
+    /// `ping`. Must not queue behind the writer. A blocking backend runs
+    /// cycles on the submitting thread, so it has no writer to die.
+    fn writer_live(&self) -> bool {
+        true
+    }
+    /// The `net` section of `stats`, `None` for a backend without a
+    /// write queue.
+    fn net_stats(&self) -> Option<NetStats> {
+        None
+    }
 }
 
 impl ServeBackend for Service {
-    fn snapshot(&self) -> ModelSnapshot {
-        Service::snapshot(self)
-    }
-    fn version(&self) -> u64 {
-        Service::version(self)
-    }
-    fn at_version(&self, version: u64) -> Result<ModelSnapshot, Error> {
-        Service::at_version(self, version)
+    fn service(&self) -> &Service {
+        self
     }
     fn submit(&self, kind: DeltaKind, text: &str) -> Result<u64, Error> {
-        match kind {
-            DeltaKind::AssertFacts => self.assert_facts(text),
-            DeltaKind::RetractFacts => self.retract_facts(text),
-            DeltaKind::AssertRules => self.assert_rules(text),
-            DeltaKind::RetractRules => self.retract_rules(text),
-        }
-    }
-    fn changelog_since(&self, since: u64) -> Result<Vec<AppliedDelta>, Error> {
-        Service::changelog_since(self, since)
-    }
-    fn ping(&self) -> (u64, bool, u64) {
-        // Direct services run write cycles on the submitting thread;
-        // there is no writer to have died independently.
-        (Service::version(self), true, self.uptime_ms())
-    }
-    fn checkpoint(&self) -> Result<u64, Error> {
-        Service::checkpoint(self)
-    }
-    fn stats_json(&self) -> String {
-        stats_json(
-            &self.session_stats(),
-            Some(&self.stats()),
-            None,
-            self.journal_stats().as_ref(),
-        )
-    }
-    fn metrics_text(&self) -> String {
-        self.telemetry().render()
+        Service::submit(self, kind, text)
     }
 }
 
 impl ServeBackend for AsyncService {
-    fn snapshot(&self) -> ModelSnapshot {
-        self.service().snapshot()
-    }
-    fn version(&self) -> u64 {
-        self.service().version()
-    }
-    fn at_version(&self, version: u64) -> Result<ModelSnapshot, Error> {
-        self.service().at_version(version)
+    fn service(&self) -> &Service {
+        AsyncService::service(self)
     }
     fn submit(&self, kind: DeltaKind, text: &str) -> Result<u64, Error> {
         AsyncService::submit(self, kind, text)?.wait()
     }
-    fn changelog_since(&self, since: u64) -> Result<Vec<AppliedDelta>, Error> {
-        self.service().changelog_since(since)
+    fn writer_live(&self) -> bool {
+        AsyncService::writer_live(self)
     }
-    fn ping(&self) -> (u64, bool, u64) {
-        (
-            self.service().version(),
-            self.writer_live(),
-            self.service().uptime_ms(),
-        )
-    }
-    fn checkpoint(&self) -> Result<u64, Error> {
-        self.service().checkpoint()
-    }
-    fn stats_json(&self) -> String {
-        stats_json(
-            &self.service().session_stats(),
-            Some(&self.service().stats()),
-            Some(&self.stats()),
-            self.service().journal_stats().as_ref(),
-        )
-    }
-    fn metrics_text(&self) -> String {
-        self.service().telemetry().render()
+    fn net_stats(&self) -> Option<NetStats> {
+        Some(self.stats())
     }
 }
 
@@ -562,11 +503,12 @@ impl ServeBackend for AsyncService {
 /// caller's to handle (it ends the *session*, not a computation); this
 /// function answers it like `version` so misrouted quits stay harmless.
 pub fn execute(backend: &dyn ServeBackend, request: &Request) -> Response {
+    let service = backend.service();
     match request {
         Request::Query { atom } => match parse_query(atom) {
             Ok((pred, args)) => {
                 let refs: Vec<&str> = args.iter().map(String::as_str).collect();
-                let snapshot = backend.snapshot();
+                let snapshot = service.snapshot();
                 Response::Truth {
                     version: snapshot.version(),
                     query: atom.clone(),
@@ -576,7 +518,7 @@ pub fn execute(backend: &dyn ServeBackend, request: &Request) -> Response {
             Err(msg) => Response::protocol_error(format!("bad query: {msg}")),
         },
         Request::At { version, atom } => match parse_query(atom) {
-            Ok((pred, args)) => match backend.at_version(*version) {
+            Ok((pred, args)) => match service.at_version(*version) {
                 Ok(snapshot) => {
                     let refs: Vec<&str> = args.iter().map(String::as_str).collect();
                     Response::Truth {
@@ -594,35 +536,36 @@ pub fn execute(backend: &dyn ServeBackend, request: &Request) -> Response {
             Err(e) => Response::from_error(&e),
         },
         Request::Model => Response::Model {
-            snapshot: backend.snapshot(),
+            snapshot: service.snapshot(),
         },
-        Request::Version => Response::Version {
-            version: backend.version(),
+        Request::Version | Request::Quit => Response::Version {
+            version: service.version(),
         },
-        Request::Changelog { since } => match backend.changelog_since(*since) {
+        Request::Changelog { since } => match service.changelog_since(*since) {
             Ok(entries) => Response::Changelog { entries },
             Err(e) => Response::from_error(&e),
         },
         Request::Stats => Response::Stats {
-            json: backend.stats_json(),
+            json: stats_json(
+                &service.session_stats(),
+                Some(&service.stats()),
+                backend.net_stats().as_ref(),
+                service.journal_stats().as_ref(),
+            ),
         },
         Request::Metrics => Response::Metrics {
-            body: backend.metrics_text(),
+            body: service.telemetry().render(),
         },
-        Request::Ping => {
-            let (version, writer_live, uptime_ms) = backend.ping();
-            Response::Pong {
-                version,
-                writer_live,
-                uptime_ms,
-            }
-        }
-        Request::Checkpoint => match backend.checkpoint() {
+        // Answered from shared memory: a load balancer health check
+        // must not queue behind a slow cycle.
+        Request::Ping => Response::Pong {
+            version: service.version(),
+            writer_live: backend.writer_live(),
+            uptime_ms: service.uptime_ms(),
+        },
+        Request::Checkpoint => match service.checkpoint() {
             Ok(version) => Response::Checkpointed { version },
             Err(e) => Response::from_error(&e),
-        },
-        Request::Quit => Response::Version {
-            version: backend.version(),
         },
     }
 }

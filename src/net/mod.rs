@@ -1,23 +1,25 @@
 //! `afp::net` — the async, networked service tier.
 //!
-//! [`crate::Service`] (PR 4) gives one process concurrent serving:
-//! lock-free readers over pinned snapshots, and write cycles that
-//! coalesce concurrent submissions. But its write API is *blocking and
-//! caller-driven* — the submitting thread itself is elected cycle
-//! leader and solves on behalf of everyone queued behind it — and the
-//! only front end is a single-client stdin protocol. This module adds
-//! the three layers that turn it into a production service:
+//! [`crate::Service`] gives one process concurrent serving: lock-free
+//! readers over pinned snapshots, and a single writer session whose
+//! write cycles publish versions. But its write API is *blocking and
+//! caller-driven* — each call runs a cycle of its own on the submitting
+//! thread — and the only front end is a single-client stdin protocol.
+//! This module adds the three layers that turn it into a production
+//! service:
 //!
-//! 1. **A dedicated writer thread** ([`AsyncService`], `writer.rs`):
+//! 1. **The one write queue** ([`AsyncService`], `writer.rs`):
 //!    submissions enqueue onto a bounded queue and return a
 //!    [`SubmitHandle`] immediately — a small futures-free promise that
 //!    can be [`SubmitHandle::wait`]ed, polled
 //!    ([`SubmitHandle::try_result`]) or waited with a timeout. One
-//!    writer thread drains the queue in batches (the whole queue per
-//!    cycle, so coalescing is at least as wide as under caller-driven
-//!    leader election) and runs the existing `Service` write cycle.
-//!    No async runtime is involved; the blocking bridge is a
-//!    mutex/condvar pair per submission.
+//!    dedicated writer thread drains the queue in batches (the whole
+//!    queue per cycle) and runs the `Service` write cycle on each, so
+//!    concurrent submissions **coalesce** into shared cycles and the
+//!    solve is paid per cycle, not per submission. This is the only
+//!    code that queues or coalesces writes. No async runtime is
+//!    involved; the blocking bridge is a mutex/condvar pair per
+//!    submission.
 //!
 //! 2. **Admission control and backpressure**: the queue depth is
 //!    bounded ([`AsyncOptions::queue_depth`]) and a full queue rejects
@@ -30,8 +32,9 @@
 //!    [`Shutdown::Drain`] runs every queued cycle to completion,
 //!    [`Shutdown::Abort`] fails everything still queued with
 //!    [`crate::Error::ServiceStopped`] — either way **every waiter
-//!    receives a terminal result**, extending PR 4's panic-safe
-//!    `WriterAborted` path to planned teardown.
+//!    receives a terminal result**, and a panicking cycle fails its
+//!    waiters with [`crate::Error::WriterAborted`] instead of
+//!    stranding them.
 //!
 //! 3. **A length-prefixed transport** ([`NetServer`], `server.rs`) over
 //!    TCP and unix sockets, fronting the same command protocol the
@@ -39,8 +42,8 @@
 //!    length followed by one UTF-8 command line (requests) or one JSON
 //!    object (responses). One thread per connection reads over pinned
 //!    [`crate::ModelSnapshot`]s lock-free; writes funnel through the
-//!    shared [`AsyncService`] queue, so N connections get exactly the
-//!    single-writer/coalescing semantics of the in-process tier.
+//!    shared [`AsyncService`] queue, so N connections share one writer
+//!    and coalesce exactly like in-process queue submitters.
 //!    Connection limits and read/write timeouts bound resource use.
 //!
 //! The command parsing/serialization both front ends share lives in
@@ -96,10 +99,11 @@ pub struct NetStats {
     pub queue_depth: u64,
     /// High-water mark of the queue depth since start.
     pub queue_depth_hwm: u64,
-    /// Submissions in the writer thread's most recent cycle batch (the
-    /// per-cycle coalesce width through the net tier).
+    /// Submissions in the most recent write cycle — the wrapped
+    /// service's [`crate::ServiceStats::last_cycle_width`].
     pub last_cycle_width: u64,
-    /// Largest cycle batch the writer thread has run.
+    /// Largest write-cycle batch so far — the wrapped service's
+    /// [`crate::ServiceStats::max_cycle_width`].
     pub max_cycle_width: u64,
     /// p50 of submit→completion latency over the recent-write window,
     /// in microseconds (0 until the first completion).

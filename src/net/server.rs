@@ -33,8 +33,7 @@ use super::codec::{
 };
 use super::writer::AsyncService;
 use super::NetStats;
-use crate::service::ModelSnapshot;
-use crate::{AppliedDelta, DeltaKind, Error};
+use crate::{DeltaKind, Error, Service};
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -143,7 +142,7 @@ struct Inner {
 }
 
 impl Inner {
-    fn net_stats(&self) -> NetStats {
+    fn stats(&self) -> NetStats {
         let mut stats = self.tier.stats();
         stats.conns_accepted = self.conns_accepted.load(Ordering::Relaxed);
         stats.conns_rejected = self.conns_rejected.load(Ordering::Relaxed);
@@ -155,41 +154,17 @@ impl Inner {
 }
 
 impl ServeBackend for Inner {
-    fn snapshot(&self) -> ModelSnapshot {
-        self.tier.service().snapshot()
-    }
-    fn version(&self) -> u64 {
-        self.tier.service().version()
-    }
-    fn at_version(&self, version: u64) -> Result<ModelSnapshot, Error> {
-        self.tier.service().at_version(version)
+    fn service(&self) -> &Service {
+        self.tier.service()
     }
     fn submit(&self, kind: DeltaKind, text: &str) -> Result<u64, Error> {
         self.tier.submit(kind, text)?.wait()
     }
-    fn changelog_since(&self, since: u64) -> Result<Vec<AppliedDelta>, Error> {
-        self.tier.service().changelog_since(since)
+    fn writer_live(&self) -> bool {
+        self.tier.writer_live()
     }
-    fn ping(&self) -> (u64, bool, u64) {
-        (
-            self.tier.service().version(),
-            self.tier.writer_live(),
-            self.tier.service().uptime_ms(),
-        )
-    }
-    fn checkpoint(&self) -> Result<u64, Error> {
-        self.tier.service().checkpoint()
-    }
-    fn stats_json(&self) -> String {
-        codec::stats_json(
-            &self.tier.service().session_stats(),
-            Some(&self.tier.service().stats()),
-            Some(&self.net_stats()),
-            self.tier.service().journal_stats().as_ref(),
-        )
-    }
-    fn metrics_text(&self) -> String {
-        self.tier.service().telemetry().render()
+    fn net_stats(&self) -> Option<NetStats> {
+        Some(self.stats())
     }
 }
 
@@ -312,7 +287,7 @@ impl NetServer {
 
     /// Transport + writer-tier counters, merged.
     pub fn stats(&self) -> NetStats {
-        self.inner.net_stats()
+        self.inner.stats()
     }
 
     /// Stop accepting, force-close every open connection, and join all

@@ -1,19 +1,18 @@
-//! The dedicated writer thread: async submission, bounded admission,
-//! deadlines, and deterministic shutdown for a [`Service`].
+//! The one write queue: async submission, bounded admission, deadlines,
+//! coalescing, and deterministic shutdown for a [`Service`].
 //!
-//! The in-process [`Service`] write path is caller-driven: the first
-//! submitter to find no cycle in flight is elected leader and solves on
-//! its own thread on behalf of everyone queued behind it. That is the
-//! right shape for an embedded library (no extra threads unless
-//! contended) and the wrong shape for a server: a network connection
-//! thread must not be conscripted into running arbitrary-length solve
-//! cycles, and nothing bounds how much work can pile up behind a slow
-//! cycle. [`AsyncService`] inverts the ownership — **one dedicated
-//! writer thread** drains a **bounded** submission queue in batches —
-//! without introducing an async runtime: the submission future is a
-//! [`SubmitHandle`] over the same mutex/condvar slot the sync path
-//! blocks on, so it can be waited, polled, or waited-with-timeout from
-//! any thread.
+//! [`Service`]'s blocking calls run one delta per write cycle on the
+//! calling thread. A server needs a different shape: a network
+//! connection thread must not be conscripted into running
+//! arbitrary-length solve cycles, concurrent submissions should share
+//! cycles (the solve is the expensive step, so coalescing is where the
+//! write path saves work), and nothing may let unbounded work pile up
+//! behind a slow cycle. [`AsyncService`] is that shape — **one dedicated
+//! writer thread** drains a **bounded** submission queue and hands each
+//! [`Service`] write cycle everything queued — without an async runtime:
+//! the submission future is a [`SubmitHandle`] over a mutex/condvar
+//! slot, so it can be waited, polled, or waited-with-timeout from any
+//! thread. This is the only code that queues or coalesces writes.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -23,11 +22,88 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use super::NetStats;
-use crate::service::{validate, Pending, Slot};
+use crate::service::validate;
 use crate::{DeltaKind, Error, Service};
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Completion slot for one queued submission.
+#[derive(Default)]
+struct Slot {
+    result: Mutex<Option<Result<u64, Error>>>,
+    ready: Condvar,
+}
+
+impl Slot {
+    fn fill(&self, outcome: Result<u64, Error>) {
+        *lock(&self.result) = Some(outcome);
+        self.ready.notify_all();
+    }
+
+    fn wait(&self) -> Result<u64, Error> {
+        let mut guard = lock(&self.result);
+        loop {
+            if let Some(outcome) = guard.as_ref() {
+                return outcome.clone();
+            }
+            guard = self
+                .ready
+                .wait(guard)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Non-blocking poll: `None` while the cycle is still pending.
+    fn try_get(&self) -> Option<Result<u64, Error>> {
+        lock(&self.result).clone()
+    }
+
+    /// Wait at most `timeout` for the terminal result. `None` on
+    /// timeout — the submission stays queued and may still complete.
+    fn wait_timeout(&self, timeout: Duration) -> Option<Result<u64, Error>> {
+        let deadline = Instant::now() + timeout;
+        let mut guard = lock(&self.result);
+        loop {
+            if let Some(outcome) = guard.as_ref() {
+                return Some(outcome.clone());
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                return None;
+            }
+            let (g, _) = self
+                .ready
+                .wait_timeout(guard, deadline - now)
+                .unwrap_or_else(PoisonError::into_inner);
+            guard = g;
+        }
+    }
+}
+
+/// The writer thread's claim on one submitter's slot: it fills the slot
+/// with the submission's terminal result.
+struct Pending(Arc<Slot>);
+
+impl Pending {
+    fn fill(self, outcome: Result<u64, Error>) {
+        self.0.fill(outcome);
+    }
+}
+
+impl Drop for Pending {
+    /// Panic safety: a `Pending` dropped before its slot was filled means
+    /// the write cycle unwound (a bug in a delta path, surfaced as a
+    /// panic). Fail the submission instead of leaving its submitter
+    /// blocked on the condvar forever.
+    fn drop(&mut self) {
+        let mut guard = lock(&self.0.result);
+        if guard.is_none() {
+            *guard = Some(Err(Error::WriterAborted));
+            self.0.ready.notify_all();
+        }
+    }
 }
 
 /// Tuning knobs for an [`AsyncService`].
@@ -116,6 +192,8 @@ enum QueueState {
 }
 
 struct Queued {
+    kind: DeltaKind,
+    text: String,
     pending: Pending,
     deadline: Option<Instant>,
     enqueued: Instant,
@@ -180,8 +258,6 @@ struct AsyncShared {
     timed_out: AtomicU64,
     aborted: AtomicU64,
     queue_depth_hwm: AtomicU64,
-    last_cycle_width: AtomicU64,
-    max_cycle_width: AtomicU64,
 }
 
 /// A [`Service`] write path driven by one dedicated writer thread, with
@@ -199,7 +275,7 @@ impl AsyncService {
     /// Spawn the writer thread over `service`'s write path. The
     /// `Service` handle is shared: in-process writers may keep calling
     /// the blocking API concurrently — cycles serialize on the writer
-    /// session lock whichever tier drives them.
+    /// session lock whichever entry point drives them.
     pub fn new(service: Service, options: AsyncOptions) -> AsyncService {
         let shared = Arc::new(AsyncShared {
             queue: Mutex::new(SubmitQueue {
@@ -216,8 +292,6 @@ impl AsyncService {
             timed_out: AtomicU64::new(0),
             aborted: AtomicU64::new(0),
             queue_depth_hwm: AtomicU64::new(0),
-            last_cycle_width: AtomicU64::new(0),
-            max_cycle_width: AtomicU64::new(0),
         });
         let writer = {
             let service = service.clone();
@@ -278,7 +352,9 @@ impl AsyncService {
             }
             let now = Instant::now();
             q.items.push_back(Queued {
-                pending: Pending::new(kind, text.to_string(), Arc::clone(&slot)),
+                kind,
+                text: text.to_string(),
+                pending: Pending(Arc::clone(&slot)),
                 deadline: deadline.map(|d| now + d),
                 enqueued: now,
             });
@@ -318,10 +394,12 @@ impl AsyncService {
     }
 
     /// Queue-and-latency counters for this tier (connection fields stay
-    /// zero; [`super::NetServer::stats`] fills them).
+    /// zero; [`super::NetServer::stats`] fills them). The cycle widths
+    /// are the wrapped service's ([`crate::ServiceStats`]).
     pub fn stats(&self) -> NetStats {
         let s = &self.shared;
         let (write_p50_us, write_p99_us) = lock(&s.latencies).percentiles();
+        let service = self.service.stats();
         NetStats {
             submitted: s.submitted.load(Ordering::Relaxed),
             completed: s.completed.load(Ordering::Relaxed),
@@ -330,8 +408,8 @@ impl AsyncService {
             aborted: s.aborted.load(Ordering::Relaxed),
             queue_depth: lock(&s.queue).items.len() as u64,
             queue_depth_hwm: s.queue_depth_hwm.load(Ordering::Relaxed),
-            last_cycle_width: s.last_cycle_width.load(Ordering::Relaxed),
-            max_cycle_width: s.max_cycle_width.load(Ordering::Relaxed),
+            last_cycle_width: service.last_cycle_width,
+            max_cycle_width: service.max_cycle_width,
             write_p50_us,
             write_p99_us,
             ..NetStats::default()
@@ -346,8 +424,9 @@ impl AsyncService {
     /// [`Service`] journals with
     /// [`crate::JournalOptions::ack_durable`], a live writer also means
     /// every handle it has resolved was acked **after** its journal
-    /// record synced (the service fills submission slots only after the
-    /// cycle's sync step).
+    /// record synced (the writer thread fills submission slots from the
+    /// verdicts its cycle returns, which come after the cycle's sync
+    /// step).
     pub fn writer_live(&self) -> bool {
         matches!(lock(&self.shared.queue).state, QueueState::Running)
     }
@@ -384,7 +463,9 @@ impl std::fmt::Debug for AsyncService {
 /// The writer thread: wait for work, drain the whole queue as one
 /// batch (maximal coalescing), expire dead submissions, run the cycle,
 /// record latencies. A panicking cycle stops the tier — queued waiters
-/// are failed, never stranded.
+/// are failed, never stranded. Every counter a waiter may read is bumped
+/// before its slot is filled, so a returning `wait()` sees its own
+/// outcome counted.
 fn writer_loop(service: &Service, shared: &Arc<AsyncShared>) {
     loop {
         let batch: Vec<Queued> = {
@@ -406,9 +487,9 @@ fn writer_loop(service: &Service, shared: &Arc<AsyncShared>) {
                     }
                     QueueState::Aborting => {
                         for item in q.items.drain(..) {
-                            item.pending.slot.fill(Err(Error::ServiceStopped));
                             shared.aborted.fetch_add(1, Ordering::Relaxed);
                             service.note_rejection();
+                            item.pending.fill(Err(Error::ServiceStopped));
                         }
                         q.state = QueueState::Stopped;
                         return;
@@ -426,9 +507,9 @@ fn writer_loop(service: &Service, shared: &Arc<AsyncShared>) {
         for item in batch {
             match item.deadline {
                 Some(d) if d <= now => {
-                    item.pending.slot.fill(Err(Error::SubmitTimeout));
                     shared.timed_out.fetch_add(1, Ordering::Relaxed);
                     service.note_rejection();
+                    item.pending.fill(Err(Error::SubmitTimeout));
                 }
                 _ => live.push(item),
             }
@@ -437,26 +518,21 @@ fn writer_loop(service: &Service, shared: &Arc<AsyncShared>) {
             continue;
         }
 
-        shared
-            .last_cycle_width
-            .store(live.len() as u64, Ordering::Relaxed);
-        shared
-            .max_cycle_width
-            .fetch_max(live.len() as u64, Ordering::Relaxed);
-
         // Queue-wait latency: enqueue → writer pickup, per submission,
         // into the telemetry histogram (distinct from the net tier's
         // submit→completion window, which includes the cycle itself).
         let telemetry = service.telemetry();
         let picked_up = Instant::now();
-        for item in &live {
+        let mut enqueued = Vec::with_capacity(live.len());
+        let mut deltas = Vec::with_capacity(live.len());
+        let mut pendings = Vec::with_capacity(live.len());
+        for item in live {
             telemetry.record_queue_wait(picked_up.duration_since(item.enqueued).as_nanos() as u64);
+            enqueued.push(item.enqueued);
+            deltas.push((item.kind, item.text));
+            pendings.push(item.pending);
         }
-
-        let enqueued: Vec<Instant> = live.iter().map(|i| i.enqueued).collect();
-        let slots: Vec<Arc<Slot>> = live.iter().map(|i| Arc::clone(&i.pending.slot)).collect();
-        let pendings: Vec<Pending> = live.into_iter().map(|i| i.pending).collect();
-        let outcome = catch_unwind(AssertUnwindSafe(|| service.run_cycle(pendings)));
+        let outcome = catch_unwind(AssertUnwindSafe(|| service.run_cycle(deltas)));
 
         let finished = Instant::now();
         {
@@ -467,28 +543,32 @@ fn writer_loop(service: &Service, shared: &Arc<AsyncShared>) {
         }
         shared
             .completed
-            .fetch_add(slots.len() as u64, Ordering::Relaxed);
-        for slot in &slots {
-            // Every slot is filled by now (run_cycle fills them; an
-            // unwinding cycle fills the rest via Pending::drop).
-            if matches!(slot.try_get(), Some(Err(_))) {
+            .fetch_add(pendings.len() as u64, Ordering::Relaxed);
+
+        let Ok(verdicts) = outcome else {
+            // The cycle panicked. Stop the tier first — a writer that has
+            // unwound mid-delta must not keep applying, and no waiter
+            // should wake to a live writer — then fail the cycle's own
+            // batch (`WriterAborted` as each `Pending` drops) and
+            // whatever queued behind it.
+            let mut q = lock(&shared.queue);
+            q.state = QueueState::Stopped;
+            for _ in &pendings {
                 service.note_rejection();
             }
-        }
-
-        if outcome.is_err() {
-            // The cycle panicked. Its own batch already resolved via the
-            // panic-safe Pending::drop path (`WriterAborted`); fail
-            // whatever queued behind it and stop the tier — a writer
-            // that has unwound mid-delta must not keep applying.
-            let mut q = lock(&shared.queue);
+            drop(pendings);
             for item in q.items.drain(..) {
-                item.pending.slot.fill(Err(Error::WriterAborted));
                 shared.aborted.fetch_add(1, Ordering::Relaxed);
                 service.note_rejection();
+                item.pending.fill(Err(Error::WriterAborted));
             }
-            q.state = QueueState::Stopped;
             return;
+        };
+        for (pending, verdict) in pendings.into_iter().zip(verdicts) {
+            if verdict.is_err() {
+                service.note_rejection();
+            }
+            pending.fill(verdict);
         }
     }
 }
@@ -511,6 +591,50 @@ mod tests {
             },
         );
         (service, tier)
+    }
+
+    #[test]
+    fn abandoned_pending_fails_its_slot_instead_of_blocking() {
+        // The panic-safety protocol: a `Pending` dropped unfilled (its
+        // cycle unwound) completes its submitter with `WriterAborted`
+        // rather than leaving it on the condvar forever.
+        let slot = Arc::new(Slot::default());
+        drop(Pending(Arc::clone(&slot)));
+        assert!(matches!(slot.wait(), Err(Error::WriterAborted)));
+    }
+
+    #[test]
+    fn panicking_cycle_resolves_every_waiter_and_stops_the_tier() {
+        use crate::{CrashPoint, JournalOptions, ServiceOptions};
+        let dir = std::env::temp_dir().join(format!("afp-writer-panic-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let service = Service::with_journal(
+            Engine::default().load(WIN_MOVE).unwrap(),
+            ServiceOptions::default(),
+            &dir,
+            JournalOptions::default(),
+        )
+        .unwrap();
+        let tier = AsyncService::new(service.clone(), AsyncOptions::default());
+        service.inject_crash_for_testing(Some(CrashPoint::PreAppend));
+        tier.hold_writer(true);
+        let handles: Vec<SubmitHandle> = (0..3)
+            .map(|i| {
+                tier.submit(DeltaKind::AssertFacts, &format!("p(x{i})."))
+                    .unwrap()
+            })
+            .collect();
+        tier.hold_writer(false);
+        for h in &handles {
+            assert!(matches!(h.wait(), Err(Error::WriterAborted)));
+        }
+        assert!(!tier.writer_live(), "a panicked writer stops the tier");
+        assert_eq!(service.version(), 0, "nothing published");
+        assert_eq!(service.stats().rejected, 3);
+        let err = tier.submit(DeltaKind::AssertFacts, "p(y).").unwrap_err();
+        assert!(matches!(err, Error::ServiceStopped));
+        tier.shutdown(Shutdown::Drain);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

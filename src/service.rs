@@ -21,12 +21,16 @@
 //!   immutable data — truth probes, iteration, even whole
 //!   relevance-restricted subqueries ([`ModelSnapshot::subquery`]) run on
 //!   reader threads without touching the writer;
-//! * concurrent delta submissions **coalesce**: while one write cycle is
-//!   in flight, every delta submitted behind it queues up and is applied
-//!   as a single batched warm update in the next cycle (adjacent
-//!   same-kind deltas merge into one batch call, i.e. one envelope-delta
-//!   round, riding `assert_batch`/`assert_rules`). Under write
-//!   contention the solve cost is paid per *cycle*, not per submission —
+//! * every write runs one **write cycle** — batched warm update, one
+//!   solve, publish. The blocking calls ([`Service::assert_facts`] and
+//!   friends) run a cycle of their own on the calling thread; concurrent
+//!   callers serialize on the writer lock. Coalescing concurrent
+//!   submissions into shared cycles is the job of the one write queue,
+//!   [`crate::net::AsyncService`]: its writer thread hands each cycle
+//!   everything queued, and adjacent same-kind deltas merge into one
+//!   batch call (one envelope-delta round, riding
+//!   `assert_batch`/`assert_rules`). Under write contention the solve
+//!   cost is then paid per *cycle*, not per submission —
 //!   [`ServiceStats::write_cycles`] vs [`ServiceStats::submissions`]
 //!   shows the ratio;
 //! * a small version-keyed cache ([`Service::at_version`]) serves repeat
@@ -73,7 +77,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 use std::time::Instant;
 
 use crate::engine::restricted_wfs_model;
@@ -159,12 +163,12 @@ pub struct ServiceStats {
     /// Deltas submitted (successful or not).
     pub submissions: u64,
     /// Write cycles run — batched warm update + solve + publish. Under
-    /// write contention this stays below `submissions`: queued deltas
-    /// share a cycle.
+    /// write contention through [`crate::net::AsyncService`] this stays
+    /// below `submissions`: deltas queued together share a cycle.
     pub write_cycles: u64,
     /// Submissions that shared their write cycle with at least one other
-    /// submission (the coalescing win; `0` under purely sequential
-    /// writers).
+    /// submission (the coalescing win; `0` when every write goes through
+    /// the blocking calls, which run one delta per cycle).
     pub coalesced: u64,
     /// Submissions whose delta failed (parse/safety/grounding error); the
     /// published chain skips them.
@@ -181,7 +185,8 @@ pub struct ServiceStats {
     /// [`Service::changelog`] returns [`Error::VersionEvicted`].
     pub changelog_evicted: u64,
     /// Submissions in the most recent write cycle (the coalesce width:
-    /// `1` for a lone writer, larger under contention).
+    /// `1` for a blocking call or a lone queued writer, larger under
+    /// contention on the net tier's queue).
     pub last_cycle_width: u64,
     /// Largest write-cycle batch so far.
     pub max_cycle_width: u64,
@@ -256,99 +261,6 @@ impl std::fmt::Debug for ModelSnapshot {
     }
 }
 
-/// One queued submission: the delta plus the slot its submitter blocks
-/// on until the cycle that applies it publishes (or fails). The net
-/// tier's dedicated writer thread ([`crate::net::AsyncService`]) builds
-/// these too and feeds them through [`Service::run_cycle`].
-pub(crate) struct Pending {
-    pub(crate) kind: DeltaKind,
-    pub(crate) text: String,
-    pub(crate) slot: Arc<Slot>,
-}
-
-impl Pending {
-    pub(crate) fn new(kind: DeltaKind, text: String, slot: Arc<Slot>) -> Pending {
-        Pending { kind, text, slot }
-    }
-}
-
-impl Drop for Pending {
-    /// Panic safety: a `Pending` dropped before its slot was filled means
-    /// the leader unwound mid-cycle (a bug in a delta path, surfaced as a
-    /// panic). Fail the submission instead of leaving its submitter
-    /// blocked on the condvar forever.
-    fn drop(&mut self) {
-        let mut guard = lock(&self.slot.result);
-        if guard.is_none() {
-            *guard = Some(Err(Error::WriterAborted));
-            self.slot.ready.notify_all();
-        }
-    }
-}
-
-/// Completion slot for one submission.
-#[derive(Default)]
-pub(crate) struct Slot {
-    result: Mutex<Option<Result<u64, Error>>>,
-    ready: Condvar,
-}
-
-impl Slot {
-    pub(crate) fn fill(&self, outcome: Result<u64, Error>) {
-        *lock(&self.result) = Some(outcome);
-        self.ready.notify_all();
-    }
-
-    pub(crate) fn wait(&self) -> Result<u64, Error> {
-        let mut guard = lock(&self.result);
-        loop {
-            if let Some(outcome) = guard.as_ref() {
-                return outcome.clone();
-            }
-            guard = self
-                .ready
-                .wait(guard)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// Non-blocking poll: `None` while the cycle is still pending.
-    pub(crate) fn try_get(&self) -> Option<Result<u64, Error>> {
-        lock(&self.result).clone()
-    }
-
-    /// Wait at most `timeout` for the terminal result. `None` on
-    /// timeout — the submission stays queued and may still complete.
-    pub(crate) fn wait_timeout(&self, timeout: std::time::Duration) -> Option<Result<u64, Error>> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut guard = lock(&self.result);
-        loop {
-            if let Some(outcome) = guard.as_ref() {
-                return Some(outcome.clone());
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (g, _) = self
-                .ready
-                .wait_timeout(guard, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            guard = g;
-        }
-    }
-}
-
-/// The submission queue and the leader flag: the first submitter to find
-/// `writer_active == false` becomes the cycle leader and drains the
-/// queue (its own delta included) until empty; everyone else just
-/// enqueues and waits on their slot.
-#[derive(Default)]
-struct WriteQueue {
-    pending: Vec<Pending>,
-    writer_active: bool,
-}
-
 /// The writer session plus the deltas applied to it that no published
 /// version carries yet. Normally `unpublished` drains into the changelog
 /// at the very next publish; it stays non-empty only across cycles whose
@@ -366,10 +278,9 @@ struct Writer {
 }
 
 struct Shared {
-    queue: Mutex<WriteQueue>,
-    /// The single writer. Held only by the cycle leader, and never while
-    /// `queue` is locked (submitters must be able to enqueue during a
-    /// running cycle — that is what coalescing is).
+    /// The single writer, held for the whole of one write cycle:
+    /// concurrent cycles (blocking callers, the net tier's writer
+    /// thread) serialize here.
     writer: Mutex<Writer>,
     /// The published head. Readers take the read side for one `Arc`
     /// bump; only a publishing cycle takes the write side, briefly.
@@ -535,7 +446,6 @@ impl Service {
         }
         Ok(Service {
             shared: Arc::new(Shared {
-                queue: Mutex::new(WriteQueue::default()),
                 writer: Mutex::new(Writer {
                     session,
                     unpublished: Vec::new(),
@@ -705,114 +615,47 @@ impl Service {
         self.submit(DeltaKind::RetractRules, rules)
     }
 
-    /// Queue one delta and drive (or wait for) the write cycle that
-    /// applies it. The first submitter to find no cycle in flight
-    /// becomes the leader and drains the queue until empty — including
-    /// deltas that arrive *while* it is applying earlier ones, which is
-    /// exactly the coalescing: those share one batched warm update and
-    /// one solve.
-    fn submit(&self, kind: DeltaKind, text: &str) -> Result<u64, Error> {
-        self.shared.submissions.fetch_add(1, Ordering::Relaxed);
-        // Reject malformed text before it can poison a shared batch:
-        // parse errors (and non-fact rules on the fact paths) are the
-        // submitter's own, never its cycle-mates'.
-        if let Err(e) = validate(kind, text) {
-            self.shared.rejected.fetch_add(1, Ordering::Relaxed);
-            return Err(e);
-        }
-        let slot = Arc::new(Slot::default());
-        let leader = {
-            let mut queue = lock(&self.shared.queue);
-            queue.pending.push(Pending {
-                kind,
-                text: text.to_string(),
-                slot: Arc::clone(&slot),
-            });
-            if queue.writer_active {
-                false
-            } else {
-                queue.writer_active = true;
-                true
-            }
-        };
-        if leader {
-            self.drain_cycles();
-        }
-        let outcome = slot.wait();
+    /// Validate one delta, then apply it in a write cycle of its own on
+    /// the calling thread. Concurrent callers serialize on the writer
+    /// lock; coalescing concurrent submissions into shared cycles is the
+    /// net tier's job ([`crate::net::AsyncService`]).
+    pub(crate) fn submit(&self, kind: DeltaKind, text: &str) -> Result<u64, Error> {
+        self.note_submission();
+        let outcome = validate(kind, text).and_then(|()| {
+            let mut outcomes = self.run_cycle(vec![(kind, text.to_string())]);
+            outcomes.pop().expect("one outcome per delta")
+        });
         if outcome.is_err() {
-            self.shared.rejected.fetch_add(1, Ordering::Relaxed);
+            self.note_rejection();
         }
         outcome
     }
 
-    /// Leader loop: take everything queued, run one write cycle, repeat
-    /// until the queue drains, then hand the leader role back.
-    ///
-    /// Panic safety: if a cycle unwinds, the guard hands the leader role
-    /// back and fails everything still queued (each dropped [`Pending`]
-    /// completes its slot with [`Error::WriterAborted`]), so no submitter
-    /// is left blocked behind a dead leader. Published versions are
-    /// unaffected — publishing is the last step of a successful cycle.
-    fn drain_cycles(&self) {
-        struct LeaderGuard<'a> {
-            shared: &'a Shared,
-            clean_exit: bool,
-        }
-        impl Drop for LeaderGuard<'_> {
-            fn drop(&mut self) {
-                if !self.clean_exit {
-                    let abandoned = {
-                        let mut queue = lock(&self.shared.queue);
-                        queue.writer_active = false;
-                        std::mem::take(&mut queue.pending)
-                    };
-                    drop(abandoned); // fails each slot via Pending::drop
-                }
-            }
-        }
-        let mut guard = LeaderGuard {
-            shared: &self.shared,
-            clean_exit: false,
-        };
-        loop {
-            let batch = {
-                let mut queue = lock(&self.shared.queue);
-                if queue.pending.is_empty() {
-                    // Atomic with the emptiness check: a submitter that
-                    // enqueues after this sees `writer_active == false`
-                    // and becomes the next leader itself.
-                    queue.writer_active = false;
-                    break;
-                }
-                std::mem::take(&mut queue.pending)
-            };
-            self.run_cycle(batch);
-        }
-        guard.clean_exit = true;
-    }
-
     /// One write cycle: apply the whole batch to the writer session
     /// (adjacent same-kind deltas merged into one batched call), solve
-    /// once, publish the new version, and complete every submitter's
-    /// slot. `pub(crate)` so the net tier's dedicated writer thread
-    /// ([`crate::net::AsyncService`]) can drive cycles off its own
-    /// bounded queue; concurrent cycles serialize on the writer lock.
-    pub(crate) fn run_cycle(&self, batch: Vec<Pending>) {
+    /// once, publish the new version, and return each delta's verdict in
+    /// batch order — the version that first includes it, or its error.
+    /// The single cycle body behind both write entry points: the
+    /// blocking calls above run a batch of one, the net tier's writer
+    /// thread ([`crate::net::AsyncService`]) runs whatever its queue
+    /// holds. Concurrent cycles serialize on the writer lock.
+    pub(crate) fn run_cycle(&self, batch: Vec<(DeltaKind, String)>) -> Vec<Result<u64, Error>> {
         let telemetry = self.telemetry();
         let cycle_started = Instant::now();
+        let mut writer = lock(&self.shared.writer);
+        let batch_width = batch.len() as u64;
         self.shared.write_cycles.fetch_add(1, Ordering::Relaxed);
         self.shared
             .last_cycle_width
-            .store(batch.len() as u64, Ordering::Relaxed);
+            .store(batch_width, Ordering::Relaxed);
         self.shared
             .max_cycle_width
-            .fetch_max(batch.len() as u64, Ordering::Relaxed);
-        if batch.len() > 1 {
+            .fetch_max(batch_width, Ordering::Relaxed);
+        if batch_width > 1 {
             self.shared
                 .coalesced
-                .fetch_add(batch.len() as u64, Ordering::Relaxed);
+                .fetch_add(batch_width, Ordering::Relaxed);
         }
-        let mut writer = lock(&self.shared.writer);
         // Phase accounting starts fresh each cycle: anything the session
         // accumulated outside a cycle (direct use, recovery replay) must
         // not be attributed to this one.
@@ -825,27 +668,27 @@ impl Service {
         // delta (unsafe rule, budget trip) must not take down its
         // cycle-mates. Session updates are commit-on-success, so the
         // failed merged call left no partial state behind.
-        // `outcomes[i]` is `Ok(())` iff delta `i` is in the session now.
-        let mut outcomes: Vec<Result<(), Error>> = Vec::with_capacity(batch.len());
+        // `applied[i]` is `Ok(())` iff delta `i` is in the session now.
+        let mut applied: Vec<Result<(), Error>> = Vec::with_capacity(batch.len());
         let mut start = 0;
         while start < batch.len() {
-            let kind = batch[start].kind;
+            let kind = batch[start].0;
             let mut end = start + 1;
-            while end < batch.len() && batch[end].kind == kind {
+            while end < batch.len() && batch[end].0 == kind {
                 end += 1;
             }
             let run = &batch[start..end];
             let merged: String = run
                 .iter()
-                .map(|p| p.text.as_str())
+                .map(|(_, text)| text.as_str())
                 .collect::<Vec<_>>()
                 .join("\n");
             match apply_delta(&mut writer.session, kind, &merged) {
-                Ok(()) => outcomes.extend(run.iter().map(|_| Ok(()))),
-                Err(e) if run.len() == 1 => outcomes.push(Err(e)),
+                Ok(()) => applied.extend(run.iter().map(|_| Ok(()))),
+                Err(e) if run.len() == 1 => applied.push(Err(e)),
                 Err(_) => {
-                    for pending in run {
-                        outcomes.push(apply_delta(&mut writer.session, kind, &pending.text));
+                    for (_, text) in run {
+                        applied.push(apply_delta(&mut writer.session, kind, text));
                     }
                 }
             }
@@ -854,22 +697,23 @@ impl Service {
 
         // Every delta in the session but not yet in a published version
         // is owed a changelog entry by the next version that solves.
-        for (pending, outcome) in batch.iter().zip(&outcomes) {
+        for (delta, outcome) in batch.into_iter().zip(&applied) {
             if outcome.is_ok() {
-                writer
-                    .unpublished
-                    .push((pending.kind, pending.text.clone()));
+                writer.unpublished.push(delta);
             }
         }
+        // A cycle that publishes nothing reports the failure `e` to each
+        // delta it applied; deltas that failed to apply keep their own.
+        let fail = |applied: Vec<Result<(), Error>>, e: &Error| -> Vec<Result<u64, Error>> {
+            applied.into_iter().map(|o| o.and(Err(e.clone()))).collect()
+        };
 
         if writer.unpublished.is_empty() {
-            // Nothing changed; no new version. Report each failure.
-            drop(writer);
-            for (pending, outcome) in batch.iter().zip(outcomes) {
-                let err = outcome.expect_err("cycle with no applied delta");
-                pending.slot.fill(Err(err));
-            }
-            return;
+            // Nothing changed; no new version. Every delta failed.
+            return applied
+                .into_iter()
+                .map(|o| Err(o.expect_err("cycle with no applied delta")))
+                .collect();
         }
 
         match writer.session.solve() {
@@ -892,24 +736,15 @@ impl Service {
                 let (journal_append_ns, fsync_ns) = if writer.journal.is_some() {
                     match self.journal_cycle(&mut writer, version) {
                         Ok(timing) => timing,
-                        Err(e) => {
-                            drop(writer);
-                            for (pending, outcome) in batch.iter().zip(outcomes) {
-                                pending.slot.fill(match outcome {
-                                    Ok(()) => Err(e.clone()),
-                                    Err(apply_err) => Err(apply_err),
-                                });
-                            }
-                            return;
-                        }
+                        Err(e) => return fail(applied, &e),
                     }
                 } else {
                     (0, 0)
                 };
-                let applied = std::mem::take(&mut writer.unpublished);
-                let width = applied.len() as u64;
+                let published = std::mem::take(&mut writer.unpublished);
+                let width = published.len() as u64;
                 let publish_started = Instant::now();
-                self.publish(&snapshot, applied);
+                self.publish(&snapshot, published);
                 let publish_ns = publish_started.elapsed().as_nanos() as u64;
                 self.maybe_checkpoint(&mut writer, version);
                 drop(writer);
@@ -928,29 +763,20 @@ impl Service {
                     fsync_ns,
                     publish_ns,
                 });
-                // Slots fill only after the sync above: with
+                // Verdicts are returned only after the sync above: with
                 // `JournalOptions::ack_durable` this is ack-after-
-                // durable — a submitter (or net-tier `SubmitHandle`)
-                // resolves only once its record is on disk.
-                for (pending, outcome) in batch.iter().zip(outcomes) {
-                    pending.slot.fill(outcome.map(|_| version));
-                }
+                // durable — a blocking caller (or net-tier
+                // `SubmitHandle`) resolves only once its record is on
+                // disk.
+                applied.into_iter().map(|o| o.map(|()| version)).collect()
             }
-            Err(e) => {
-                // The solve failed (no perfect model, a grounding error
-                // surfacing through recovery): no publish. The applied
-                // deltas stay recorded in `unpublished` and will be
-                // attributed to the next version that does solve; their
-                // submitters get the solve error so they know their
-                // version never became visible.
-                drop(writer);
-                for (pending, outcome) in batch.iter().zip(outcomes) {
-                    pending.slot.fill(match outcome {
-                        Ok(()) => Err(e.clone()),
-                        Err(apply_err) => Err(apply_err),
-                    });
-                }
-            }
+            // The solve failed (no perfect model, a grounding error
+            // surfacing through recovery): no publish. The applied
+            // deltas stay recorded in `unpublished` and will be
+            // attributed to the next version that does solve; their
+            // submitters get the solve error so they know their version
+            // never became visible.
+            Err(e) => fail(applied, &e),
         }
     }
 
@@ -1124,17 +950,17 @@ impl Service {
         }
     }
 
-    /// Count a submission that entered through an upstream queue (the
-    /// net tier's admission control) so `ServiceStats::submissions`
-    /// covers every tier.
+    /// Count a submission, whichever entry point took it (the blocking
+    /// calls above or the net tier's queue), so
+    /// `ServiceStats::submissions` covers every tier.
     pub(crate) fn note_submission(&self) {
         self.shared.submissions.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record a submission that terminally failed upstream or inside a
-    /// net-tier cycle (`Overloaded`, deadline expiry, apply error), so
-    /// `ServiceStats::rejected` counts every failed submission
-    /// regardless of which layer refused it.
+    /// Record a submission that terminally failed — at validation, in
+    /// the net tier's admission control (`Overloaded`, deadline expiry,
+    /// shutdown) or in its cycle — so `ServiceStats::rejected` counts
+    /// every failed submission regardless of which layer refused it.
     pub(crate) fn note_rejection(&self) {
         self.shared.rejected.fetch_add(1, Ordering::Relaxed);
     }
@@ -1182,21 +1008,6 @@ mod tests {
 
     const WIN_MOVE: &str =
         "wins(X) :- move(X, Y), not wins(Y). move(a, b). move(b, a). move(b, c).";
-
-    #[test]
-    fn abandoned_pending_fails_its_slot_instead_of_blocking() {
-        // The panic-safety protocol: a `Pending` dropped unfilled (leader
-        // unwound mid-cycle) completes its submitter with `WriterAborted`
-        // rather than leaving it on the condvar forever.
-        let slot = Arc::new(Slot::default());
-        let pending = Pending {
-            kind: DeltaKind::AssertFacts,
-            text: "a.".into(),
-            slot: Arc::clone(&slot),
-        };
-        drop(pending);
-        assert!(matches!(slot.wait(), Err(Error::WriterAborted)));
-    }
 
     #[test]
     fn versions_advance_and_pins_stay_immutable() {

@@ -306,11 +306,11 @@ fn crash_differential(semantics: Semantics, label: &str) {
             let pre_changelog = service.changelog().unwrap();
 
             // The crash op: the seam fires inside this write cycle, so
-            // the submitting thread (the cycle leader) panics.
+            // the submitting thread, which runs the cycle, panics.
             service.inject_crash_for_testing(Some(point));
             let crash_fact = FACT_POOL[(rng.next() % FACT_POOL.len() as u64) as usize];
             let outcome = catch_unwind(AssertUnwindSafe(|| service.assert_facts(crash_fact)));
-            assert!(outcome.is_err(), "crash seam must panic the leader");
+            assert!(outcome.is_err(), "crash seam must panic the writer");
             drop(service);
 
             let recovered = Service::recover(

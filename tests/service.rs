@@ -12,7 +12,9 @@
 //! seeded, so the suite is CI-deterministic in its *verdicts* — the
 //! interleavings vary run to run, the checked property must not.
 
-use afp::{Engine, Semantics, Strategy, Truth, WfStrategy};
+use afp::{
+    AsyncOptions, AsyncService, DeltaKind, Engine, Semantics, Shutdown, Strategy, Truth, WfStrategy,
+};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread;
 
@@ -245,13 +247,94 @@ fn concurrent_reads_match_cold_solves_of_their_version() {
     }
 }
 
-/// Concurrent writers: all submissions succeed, write cycles never
-/// exceed submissions (queued deltas coalesce into shared cycles), and
-/// the final model equals a cold solve of the base plus all deltas —
-/// submission order is immaterial because the deltas are disjoint
-/// asserts.
+/// Rebuild the final program from the changelog (disjoint asserts, so
+/// submission order is immaterial), cold-solve it, and check the served
+/// head against it.
+fn assert_head_matches_cold_solve(service: &afp::Service, writers: usize) {
+    let mut cold_src = base_src();
+    for entry in service.changelog().unwrap() {
+        cold_src.push_str(&entry.text);
+        cold_src.push('\n');
+    }
+    let cold = Engine::default().solve(&cold_src).unwrap();
+    let head = service.snapshot();
+    assert_eq!(digest(head.model()), digest(&cold));
+    for w in 0..writers {
+        let arg = format!("w{w}_0");
+        assert_eq!(
+            head.truth("win", &[&format!("n{w}")]),
+            cold.truth("win", &[&format!("n{w}")])
+        );
+        assert_eq!(head.truth("win", &[&arg]), Truth::False);
+    }
+}
+
+/// Concurrent writers through the write queue: all submissions succeed,
+/// deltas queued while a cycle runs share the next one (a held writer
+/// makes the first cycle deterministically wide), and the final model
+/// equals a cold solve of the base plus all deltas.
 #[test]
 fn concurrent_writers_coalesce_into_batched_cycles() {
+    const WRITERS: usize = 4;
+    const PER_WRITER: usize = 8;
+    let service = Engine::default().serve(&base_src()).unwrap();
+    let tier = AsyncService::new(service.clone(), AsyncOptions::default());
+
+    tier.hold_writer(true);
+    thread::scope(|s| {
+        let mut writers = Vec::new();
+        for w in 0..WRITERS {
+            let tier = &tier;
+            writers.push(s.spawn(move || {
+                // Disjoint facts: writer w hangs a chain off node w.
+                let handles: Vec<_> = (0..PER_WRITER)
+                    .map(|i| {
+                        tier.submit(DeltaKind::AssertFacts, &format!("move(n{w}, w{w}_{i})."))
+                            .unwrap()
+                    })
+                    .collect();
+                for h in &handles {
+                    assert!(h.wait().unwrap() > 0);
+                }
+            }));
+        }
+        // Release the writer once a few submissions are queued; the rest
+        // race into later cycles.
+        while tier.stats().submitted < WRITERS as u64 {
+            thread::yield_now();
+        }
+        tier.hold_writer(false);
+        for w in writers {
+            w.join().unwrap();
+        }
+    });
+    tier.shutdown(Shutdown::Drain);
+
+    let stats = service.stats();
+    assert_eq!(stats.submissions, (WRITERS * PER_WRITER) as u64);
+    assert_eq!(stats.rejected, 0);
+    assert!(
+        stats.write_cycles < stats.submissions,
+        "cycles {} not below submissions {}",
+        stats.write_cycles,
+        stats.submissions
+    );
+    assert!(stats.max_cycle_width >= WRITERS as u64);
+    assert!(stats.coalesced >= WRITERS as u64);
+    assert_eq!(
+        stats.version, stats.write_cycles,
+        "every cycle published exactly one version"
+    );
+    assert_eq!(tier.stats().max_cycle_width, stats.max_cycle_width);
+    assert_eq!(service.changelog().unwrap().len(), WRITERS * PER_WRITER);
+    assert_head_matches_cold_solve(&service, WRITERS);
+}
+
+/// Concurrent blocking writers on the service itself: each call runs a
+/// cycle of its own, the calls serialize on the writer lock, every one
+/// publishes, and the final model equals the cold solve.
+#[test]
+fn concurrent_blocking_writers_all_publish() {
     const WRITERS: usize = 4;
     const PER_WRITER: usize = 8;
     let service = Engine::default().serve(&base_src()).unwrap();
@@ -261,7 +344,6 @@ fn concurrent_writers_coalesce_into_batched_cycles() {
             let service = &service;
             s.spawn(move || {
                 for i in 0..PER_WRITER {
-                    // Disjoint facts: writer w hangs a chain off node w.
                     let fact = format!("move(n{w}, w{w}_{i}).");
                     let version = service.assert_facts(&fact).unwrap();
                     assert!(version > 0);
@@ -271,37 +353,15 @@ fn concurrent_writers_coalesce_into_batched_cycles() {
     });
 
     let stats = service.stats();
-    assert_eq!(stats.submissions, (WRITERS * PER_WRITER) as u64);
+    let total = (WRITERS * PER_WRITER) as u64;
+    assert_eq!(stats.submissions, total);
     assert_eq!(stats.rejected, 0);
-    assert!(
-        stats.write_cycles <= stats.submissions,
-        "cycles {} > submissions {}",
-        stats.write_cycles,
-        stats.submissions
-    );
-    assert_eq!(
-        stats.version, stats.write_cycles,
-        "every cycle published exactly one version"
-    );
+    assert_eq!(stats.write_cycles, total, "one cycle per blocking call");
+    assert_eq!(stats.version, total, "every call published its own version");
+    assert_eq!(stats.max_cycle_width, 1);
+    assert_eq!(stats.coalesced, 0);
     assert_eq!(service.changelog().unwrap().len(), WRITERS * PER_WRITER);
-
-    // Final-state differential against the cold solve of everything.
-    let mut cold_src = base_src();
-    for entry in service.changelog().unwrap() {
-        cold_src.push_str(&entry.text);
-        cold_src.push('\n');
-    }
-    let cold = Engine::default().solve(&cold_src).unwrap();
-    let head = service.snapshot();
-    assert_eq!(digest(head.model()), digest(&cold));
-    for w in 0..WRITERS {
-        let arg = format!("w{w}_0");
-        assert_eq!(
-            head.truth("win", &[&format!("n{w}")]),
-            cold.truth("win", &[&format!("n{w}")])
-        );
-        assert_eq!(head.truth("win", &[&arg]), Truth::False);
-    }
+    assert_head_matches_cold_solve(&service, WRITERS);
 }
 
 /// A pinned snapshot is immutable while the writer churns: its digest
@@ -376,41 +436,39 @@ fn service_read_path_rides_the_session_memo() {
 
 /// Review regression: a semantically invalid delta (valid text, unsafe
 /// rule) that lands in the same coalesced cycle as valid deltas must
-/// fail **alone** — its cycle-mates' deltas apply and publish.
+/// fail **alone** — its cycle-mates' deltas apply and publish. A held
+/// writer queues all three, so they share one cycle and the failed
+/// merged run of the two rule deltas is retried delta by delta.
 #[test]
 fn invalid_delta_does_not_fail_its_cycle_mates() {
-    use std::sync::Barrier;
     let service = Engine::default().serve(&base_src()).unwrap();
-    // Hold the leader role with a long-running first submission? Not
-    // needed: drive contention with a barrier so several submissions
-    // race into shared cycles, some of them unsafe.
-    let barrier = Barrier::new(3);
-    let (good1, bad, good2) = thread::scope(|s| {
-        let b = &barrier;
-        let service = &service;
-        let good1 = s.spawn(move || {
-            b.wait();
-            service.assert_rules("reach(X) :- move(n0, X).")
-        });
-        let bad = s.spawn(move || {
-            b.wait();
-            service.assert_rules("r(X) :- not s(X).") // unsafe: passes parse
-        });
-        let good2 = s.spawn(move || {
-            b.wait();
-            service.assert_facts("move(n2, n3).")
-        });
-        (
-            good1.join().unwrap(),
-            bad.join().unwrap(),
-            good2.join().unwrap(),
-        )
-    });
+    let tier = AsyncService::new(service.clone(), AsyncOptions::default());
+    tier.hold_writer(true);
+    let good1 = tier
+        .submit(DeltaKind::AssertRules, "reach(X) :- move(n0, X).")
+        .unwrap();
+    // Unsafe: passes the parse-only validation at submission.
+    let bad = tier
+        .submit(DeltaKind::AssertRules, "r(X) :- not s(X).")
+        .unwrap();
+    let good2 = tier
+        .submit(DeltaKind::AssertFacts, "move(n2, n3).")
+        .unwrap();
+    tier.hold_writer(false);
+    let (good1, bad, good2) = (good1.wait(), bad.wait(), good2.wait());
+    tier.shutdown(Shutdown::Drain);
+
+    assert_eq!(service.stats().last_cycle_width, 3, "one shared cycle");
     assert!(matches!(bad, Err(afp::Error::Ground(_))), "{bad:?}");
     let v1 = good1.expect("valid rule must apply despite the unsafe cycle-mate");
     let v2 = good2.expect("valid fact must apply despite the unsafe cycle-mate");
+    assert_eq!(
+        (v1, v2),
+        (1, 1),
+        "both publish in the shared cycle's version"
+    );
     let head = service.snapshot();
-    assert!(head.version() >= v1.max(v2));
+    assert_eq!(head.version(), 1);
     assert_eq!(head.truth("reach", &["n1"]), Truth::True);
     assert_eq!(head.truth("move", &["n2", "n3"]), Truth::True);
     // The changelog records exactly the two applied deltas.
