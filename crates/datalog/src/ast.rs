@@ -116,7 +116,7 @@ impl Literal {
 /// A normal rule `head ← body` (Definition 3.1). An empty body means the
 /// head holds unconditionally; if additionally the head is ground, the rule
 /// is a *fact*.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Rule {
     /// The rule head.
     pub head: Atom,
@@ -239,7 +239,7 @@ impl Program {
     pub fn to_text(&self) -> String {
         let mut s = String::new();
         for r in &self.rules {
-            s.push_str(&display_rule(r, &self.symbols));
+            write_rule(&mut s, r, &self.symbols);
             s.push('\n');
         }
         s
@@ -311,47 +311,78 @@ pub fn import_rule_with(
 
 /// Render a term.
 pub fn display_term(t: &Term, store: &SymbolStore) -> String {
-    match t {
-        Term::Var(v) => store.name(*v).to_string(),
-        Term::Const(c) => quote_if_needed(store.name(*c)),
-        Term::App(f, args) => {
-            let inner: Vec<String> = args.iter().map(|a| display_term(a, store)).collect();
-            format!("{}({})", store.name(*f), inner.join(", "))
-        }
-    }
+    render(|out| write_term(out, t, store))
 }
 
 /// Render an atom.
 pub fn display_atom(a: &Atom, store: &SymbolStore) -> String {
-    if a.args.is_empty() {
-        store.name(a.pred).to_string()
-    } else {
-        let inner: Vec<String> = a.args.iter().map(|t| display_term(t, store)).collect();
-        format!("{}({})", store.name(a.pred), inner.join(", "))
-    }
+    render(|out| write_atom(out, a, store))
 }
 
 /// Render a literal.
 pub fn display_literal(l: &Literal, store: &SymbolStore) -> String {
-    if l.positive {
-        display_atom(&l.atom, store)
-    } else {
-        format!("not {}", display_atom(&l.atom, store))
-    }
+    render(|out| write_literal(out, l, store))
 }
 
 /// Render a rule, terminated with `.`.
 pub fn display_rule(r: &Rule, store: &SymbolStore) -> String {
-    if r.body.is_empty() {
-        format!("{}.", display_atom(&r.head, store))
-    } else {
-        let body: Vec<String> = r.body.iter().map(|l| display_literal(l, store)).collect();
-        format!("{} :- {}.", display_atom(&r.head, store), body.join(", "))
+    render(|out| write_rule(out, r, store))
+}
+
+fn render(write: impl FnOnce(&mut String)) -> String {
+    let mut out = String::new();
+    write(&mut out);
+    out
+}
+
+// The renderers append to one buffer, so rendering a whole program
+// (`Program::to_text`, which checkpoints use) allocates no string per
+// term.
+
+fn write_term(out: &mut String, t: &Term, store: &SymbolStore) {
+    match t {
+        Term::Var(v) => out.push_str(store.name(*v)),
+        Term::Const(c) => out.push_str(&quote_if_needed(store.name(*c))),
+        Term::App(f, args) => write_app(out, store.name(*f), args, store),
     }
 }
 
+/// `name(args…)`; a bare `name` when there are no arguments.
+fn write_app(out: &mut String, name: &str, args: &[Term], store: &SymbolStore) {
+    out.push_str(name);
+    if let Some((first, rest)) = args.split_first() {
+        out.push('(');
+        write_term(out, first, store);
+        for t in rest {
+            out.push_str(", ");
+            write_term(out, t, store);
+        }
+        out.push(')');
+    }
+}
+
+fn write_atom(out: &mut String, a: &Atom, store: &SymbolStore) {
+    write_app(out, store.name(a.pred), &a.args, store);
+}
+
+fn write_literal(out: &mut String, l: &Literal, store: &SymbolStore) {
+    if !l.positive {
+        out.push_str("not ");
+    }
+    write_atom(out, &l.atom, store);
+}
+
+fn write_rule(out: &mut String, r: &Rule, store: &SymbolStore) {
+    write_atom(out, &r.head, store);
+    for (i, l) in r.body.iter().enumerate() {
+        out.push_str(if i == 0 { " :- " } else { ", " });
+        write_literal(out, l, store);
+    }
+    out.push('.');
+}
+
 /// Quote a constant name when it would not re-parse as a bare constant.
-fn quote_if_needed(name: &str) -> String {
+fn quote_if_needed(name: &str) -> std::borrow::Cow<'_, str> {
     let bare = !name.is_empty()
         && name
             .chars()
@@ -360,9 +391,9 @@ fn quote_if_needed(name: &str) -> String {
             .unwrap_or(false)
         && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_');
     if bare {
-        name.to_string()
+        name.into()
     } else {
-        format!("'{}'", name.replace('\\', "\\\\").replace('\'', "\\'"))
+        format!("'{}'", name.replace('\\', "\\\\").replace('\'', "\\'")).into()
     }
 }
 

@@ -63,9 +63,17 @@
 //! false when a batch errors mid-delta (rule/envelope budget): the
 //! grounder is then *poisoned* — the program may be missing consequences
 //! — and must be rebuilt cold before further use.
+//!
+//! The grounder is also the record of the **source program**: its
+//! retained rules plus its EDB facts, rendered back into an AST by
+//! [`IncrementalGrounder::source_program`]. Cold fallbacks, poison
+//! recovery and checkpoints all rebuild from it. The source state is
+//! commit-on-success: a batch that errors mid-delta takes its facts and
+//! rules back out before poisoning, so a poisoned grounder still
+//! describes the last consistent program.
 
-use crate::ast::{Atom, Program, Rule};
-use crate::atoms::{AtomId, ConstId, HerbrandBase};
+use crate::ast::{Atom, Program, Rule, Term};
+use crate::atoms::{AtomId, ConstId, GroundTerm, HerbrandBase};
 use crate::depgraph::RuleRename;
 use crate::error::GroundError;
 use crate::fx::{FxHashMap, FxHashSet};
@@ -100,9 +108,9 @@ struct Emission {
     neg: Vec<NegResolution>,
 }
 
-/// An imported, validated, and compiled `assert_rules` batch — produced
-/// without mutating the grounder's working state, so a rejected batch
-/// leaves everything untouched.
+/// An imported, validated, and compiled assert batch (`assert_batch`
+/// prepares facts only) — produced without mutating the grounder's
+/// working state, so a rejected batch leaves everything untouched.
 struct PreparedRules {
     facts: Vec<Atom>,
     rules: Vec<(Rule, CompiledRule, Vec<CompiledAtom>)>,
@@ -176,7 +184,9 @@ pub struct IncrementalGrounder {
     negs: Vec<Vec<CompiledAtom>>,
     /// The source (AST) form of each compiled rule, expressed against the
     /// grounder's own symbol store — what
-    /// [`IncrementalGrounder::retract_rules`] matches structurally.
+    /// [`IncrementalGrounder::retract_rules`] matches structurally, and
+    /// with `edb_facts` the whole source program
+    /// ([`IncrementalGrounder::source_program`]). Holds no duplicates.
     src_rules: Vec<Rule>,
     prog: GroundProgram,
     /// Working-base (pred, args) → final atom id.
@@ -234,8 +244,15 @@ impl IncrementalGrounder {
         let mut src_rules: Vec<Rule> = Vec::new();
         let mut facts: Vec<(Symbol, Tuple)> = Vec::new();
         let mut need_dom = false;
+        // Set semantics, as on assert: a repeated statement is one
+        // statement, so one retract removes it.
+        let mut seen_facts: FxHashSet<&Atom> = FxHashSet::default();
+        let mut seen_rules: FxHashSet<&Rule> = FxHashSet::default();
         for rule in &program.rules {
             if rule.is_fact() {
+                if !seen_facts.insert(&rule.head) {
+                    continue;
+                }
                 let tuple: Vec<ConstId> = rule
                     .head
                     .args
@@ -243,6 +260,9 @@ impl IncrementalGrounder {
                     .map(|t| intern_ground_term(t, &mut base))
                     .collect();
                 facts.push((rule.head.pred, tuple.into_boxed_slice()));
+                continue;
+            }
+            if !seen_rules.insert(rule) {
                 continue;
             }
             let unsafe_vars = unsafe_variables(rule);
@@ -303,7 +323,7 @@ impl IncrementalGrounder {
                 }
                 dom_terms.extend_from_slice(&per_fact);
             }
-            for rule in program.rules.iter().filter(|r| !r.is_fact()) {
+            for rule in &src_rules {
                 let start = dom_terms.len();
                 collect_rule_consts(rule, &mut base, &mut dom_terms);
                 for &t in &dom_terms[start..] {
@@ -379,6 +399,39 @@ impl IncrementalGrounder {
         self.prog
     }
 
+    /// The source program the ground program instantiates: the retained
+    /// rules, then one fact per EDB fact in ascending [`AtomId`] order
+    /// (so its text is deterministic). Asserted statements are present,
+    /// retracted ones absent, and each appears once. On a poisoned
+    /// grounder this is the last consistent program, which is what a
+    /// cold re-ground should rebuild.
+    pub fn source_program(&self) -> Program {
+        fn term(base: &HerbrandBase, id: ConstId) -> Term {
+            match base.term(id) {
+                GroundTerm::Const(c) => Term::Const(*c),
+                GroundTerm::App(f, args) => {
+                    Term::App(*f, args.iter().map(|&a| term(base, a)).collect())
+                }
+            }
+        }
+        let base = self.prog.base();
+        let mut facts: Vec<AtomId> = self.edb_facts.iter().copied().collect();
+        facts.sort_unstable();
+        let mut rules = Vec::with_capacity(self.src_rules.len() + facts.len());
+        rules.extend_from_slice(&self.src_rules);
+        rules.extend(facts.into_iter().map(|id| {
+            let (pred, args) = base.atom(id);
+            Rule::fact(Atom::new(
+                pred,
+                args.iter().map(|&a| term(base, a)).collect(),
+            ))
+        }));
+        Program {
+            rules,
+            symbols: self.prog.symbols().clone(),
+        }
+    }
+
     /// `false` when warm asserts would be unsound and the caller should
     /// re-ground cold: either some negative literal could not be keyed
     /// for resurrection (see module docs), or a previous mutating call
@@ -438,8 +491,9 @@ impl IncrementalGrounder {
     /// On an error (rule or envelope budget), the grounder is left
     /// **poisoned**: the program may hold facts whose consequences were
     /// never instantiated, [`IncrementalGrounder::supports_incremental`]
-    /// turns false, and the caller must re-ground cold from its source
-    /// program before solving again.
+    /// turns false, and the caller must re-ground cold from
+    /// [`IncrementalGrounder::source_program`] (which no longer holds the
+    /// failed batch) before solving again.
     ///
     /// # Panics
     /// Panics if any atom is not ground.
@@ -448,116 +502,17 @@ impl IncrementalGrounder {
         atoms: &[Atom],
         from: &crate::symbol::SymbolStore,
     ) -> Result<DeltaEffect, GroundError> {
-        let result = self.assert_batch_inner(atoms, from);
-        if result.is_err() {
-            self.poisoned = true;
-        }
-        result
-    }
-
-    fn assert_batch_inner(
-        &mut self,
-        atoms: &[Atom],
-        from: &crate::symbol::SymbolStore,
-    ) -> Result<DeltaEffect, GroundError> {
-        let mut effect = DeltaEffect::default();
-        let mut seed: Vec<(Symbol, Tuple)> = Vec::with_capacity(atoms.len());
-        let mut dom_terms: Vec<ConstId> = Vec::new();
-        for atom in atoms {
-            assert!(atom.is_ground(), "assert_batch needs ground atoms");
-            let atom = self.import_atom(atom, from);
-            let tuple: Tuple = atom
-                .args
-                .iter()
-                .map(|t| intern_ground_term(t, &mut self.base))
-                .collect();
-            let final_atom = self.intern_final(atom.pred, &tuple);
-            effect.atom = Some(final_atom);
-            if !self.edb_facts.insert(final_atom) {
-                continue; // already an EDB fact — no-op
-            }
-            effect.fresh = true;
-            self.push_rule_checked(final_atom, vec![], vec![])?;
-            effect.changed.push(final_atom);
-            if self.need_dom {
-                // One subterm walk serves both the refcounts and the
-                // domain seed below.
-                dom_terms.extend(self.count_fact_terms(&tuple, true));
-            }
-            seed.push((atom.pred, tuple));
-        }
-        if seed.is_empty() {
-            return Ok(effect); // whole batch was a no-op
-        }
-
-        // One envelope delta for the whole batch: the facts plus any new
-        // active-domain members they introduce.
-        if self.need_dom {
-            dom_terms.sort_unstable();
-            dom_terms.dedup();
-            for t in dom_terms {
-                seed.push((self.dom_pred, vec![t].into_boxed_slice()));
-            }
-        }
-        let limits = EvalLimits {
-            max_tuples: self.options.max_envelope_tuples,
-        };
-        let delta = extend_positive(
-            &self.compiled,
-            &mut self.envelope,
-            seed,
-            &mut self.base,
-            &limits,
-        )?;
-        index_all_columns(&mut self.envelope);
-
-        // Resurrect negative literals whose atom just entered the envelope.
-        for (pred, rel) in delta.iter() {
-            for row in rel.rows() {
-                if let Some(rules) = self.dropped.remove(&(pred, row.clone())) {
-                    let neg_atom = self.intern_final(pred, row);
-                    for rid in rules {
-                        self.prog.add_neg_literal(rid, neg_atom);
-                        effect.changed.push(self.prog.rule(rid).head);
-                        effect.new_edge_targets.push(neg_atom);
-                        effect.resurrected += 1;
-                    }
-                }
-            }
-        }
-
-        // Instantiate the rules whose body touches a delta relation, with
-        // the delta substituted at one focus position at a time; the
-        // `emitted` set keeps re-joins from duplicating instances.
-        for ix in 0..self.compiled.len() {
-            let touches = self.compiled[ix]
-                .body
-                .iter()
-                .any(|a| delta.relation(a.pred).is_some_and(|r| !r.is_empty()));
-            if !touches {
-                continue;
-            }
-            for focus in 0..self.compiled[ix].body.len() {
-                let pred = self.compiled[ix].body[focus].pred;
-                if delta.relation(pred).is_none_or(Relation::is_empty) {
-                    continue;
-                }
-                let emissions = self.join_rule(ix, Some((focus, &delta)));
-                for e in emissions {
-                    if self.already_emitted(ix as u32, &e.sig) {
-                        continue;
-                    }
-                    let head = self.admit(ix as u32, e, &mut effect)?;
-                    effect.changed.push(head);
-                    effect.new_rules += 1;
-                }
-            }
-        }
-        effect.changed.sort_unstable();
-        effect.changed.dedup();
-        effect.new_edge_targets.sort_unstable();
-        effect.new_edge_targets.dedup();
-        Ok(effect)
+        let facts = atoms
+            .iter()
+            .map(|atom| {
+                assert!(atom.is_ground(), "assert_batch needs ground atoms");
+                self.import_atom(atom, from)
+            })
+            .collect();
+        self.apply_prepared(PreparedRules {
+            facts,
+            rules: Vec::new(),
+        })
     }
 
     /// Remove a ground EDB fact (the bodyless rule for its atom), if
@@ -740,11 +695,8 @@ impl IncrementalGrounder {
         let Some(prepared) = self.prepare_rules(rules, from)? else {
             return Ok(RuleAssertOutcome::NeedsCold);
         };
-        let result = self.assert_rules_inner(prepared);
-        if result.is_err() {
-            self.poisoned = true;
-        }
-        result.map(RuleAssertOutcome::Applied)
+        self.apply_prepared(prepared)
+            .map(RuleAssertOutcome::Applied)
     }
 
     /// Import, safety-check, and compile an assert batch without touching
@@ -809,13 +761,41 @@ impl IncrementalGrounder {
         Ok(Some(prepared))
     }
 
-    fn assert_rules_inner(&mut self, prepared: PreparedRules) -> Result<DeltaEffect, GroundError> {
+    /// Apply a prepared batch. Commit-on-success for the source state:
+    /// on an error mid-delta (rule or envelope budget) the batch's EDB
+    /// facts and rules are taken back out before the grounder is
+    /// poisoned, so [`IncrementalGrounder::source_program`] still returns
+    /// the last consistent program.
+    fn apply_prepared(&mut self, prepared: PreparedRules) -> Result<DeltaEffect, GroundError> {
+        let rules_before = self.src_rules.len();
+        let mut added: Vec<AtomId> = Vec::new();
+        let result = self.assert_prepared(prepared, &mut added);
+        if result.is_err() {
+            for atom in &added {
+                self.edb_facts.remove(atom);
+            }
+            self.src_rules.truncate(rules_before);
+            self.compiled.truncate(rules_before);
+            self.negs.truncate(rules_before);
+            self.poisoned = true;
+        }
+        result
+    }
+
+    /// The delta itself: new facts and rules are recorded as they go
+    /// (facts into `added`), and old and new rules then run one
+    /// envelope-delta round together.
+    fn assert_prepared(
+        &mut self,
+        prepared: PreparedRules,
+        added: &mut Vec<AtomId>,
+    ) -> Result<DeltaEffect, GroundError> {
         let PreparedRules { facts, rules } = prepared;
         let mut effect = DeltaEffect::default();
         let mut seed: Vec<(Symbol, Tuple)> = Vec::new();
         let mut dom_terms: Vec<ConstId> = Vec::new();
 
-        // Fact rules in the batch take the exact EDB-fact assert path.
+        // Facts become bodyless EDB fact rules and seed the envelope delta.
         for atom in &facts {
             let tuple: Tuple = atom
                 .args
@@ -827,10 +807,13 @@ impl IncrementalGrounder {
             if !self.edb_facts.insert(final_atom) {
                 continue; // already an EDB fact — no-op
             }
+            added.push(final_atom);
             effect.fresh = true;
             self.push_rule_checked(final_atom, vec![], vec![])?;
             effect.changed.push(final_atom);
             if self.need_dom {
+                // One subterm walk serves both the refcounts and the
+                // domain seed below.
                 dom_terms.extend(self.count_fact_terms(&tuple, true));
             }
             seed.push((atom.pred, tuple));
@@ -1135,10 +1118,10 @@ impl IncrementalGrounder {
 
     /// Test-only fault injection: mark the grounder poisoned as if a
     /// mutating call had errored mid-delta. Lets integration tests drive
-    /// the recovery paths that are unreachable through the public API (a
-    /// retained source program always re-grounds within the budgets that
-    /// admitted it — the warm program is a superset of its cold
-    /// re-ground).
+    /// the recovery paths that are unreachable through the public API
+    /// ([`IncrementalGrounder::source_program`] always re-grounds within
+    /// the budgets that admitted it — the warm program is a superset of
+    /// its cold re-ground).
     #[doc(hidden)]
     pub fn poison_for_testing(&mut self) {
         self.poisoned = true;
@@ -1407,6 +1390,25 @@ mod tests {
         let wc = g.program().find_atom_by_name("wins", &["c"]).unwrap();
         let rb = g.program().rules_with_head(wb)[0];
         assert_eq!(g.program().rule(rb).neg.as_ref(), &[wc]);
+    }
+
+    #[test]
+    fn source_program_tracks_the_source_and_skips_a_failed_batch() {
+        let program = parse_program("p(X) :- e(X). e(b). e(a). e(b). p(X) :- e(X).").unwrap();
+        let options = GroundOptions {
+            max_ground_rules: 6,
+            ..Default::default()
+        };
+        let mut g = IncrementalGrounder::new(&program, &options).unwrap();
+        // Repeats collapse; facts follow the rules in atom-id order.
+        let text = "p(X) :- e(X).\ne(b).\ne(a).\n";
+        assert_eq!(g.source_program().to_text(), text);
+
+        // Two facts fit the budget, the new rule's instances do not.
+        let batch = parse_program("e(c). e(d). q(X) :- e(X).").unwrap();
+        assert!(g.assert_rules(&batch.rules, &batch.symbols).is_err());
+        assert!(g.is_poisoned());
+        assert_eq!(g.source_program().to_text(), text);
     }
 
     #[test]

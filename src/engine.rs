@@ -50,9 +50,11 @@
 //! exactly its ground instances, and only a delta the warm machinery
 //! cannot express soundly (a real active-domain shrink, the bootstrap of
 //! the domain machinery itself) falls back to a single cold re-ground of
-//! the mirrored source program. Re-solves are warm in both strategies,
-//! via the relevance/splitting argument (atoms that cannot reach any
-//! changed atom in the dependency graph keep their truth values):
+//! the source program, which the grounder itself records
+//! ([`afp_datalog::IncrementalGrounder::source_program`]). Re-solves are
+//! warm in both strategies, via the relevance/splitting argument (atoms
+//! that cannot reach any changed atom in the dependency graph keep their
+//! truth values):
 //!
 //! * per-SCC (the default): components disjoint from the changed cone
 //!   **copy their stored truth values verbatim** from the previous
@@ -73,8 +75,8 @@ use afp_datalog::bitset::AtomSet;
 use afp_datalog::depgraph::{Condensation, CondensationDelta, RuleRename};
 use afp_datalog::program::{GroundProgram, GroundRule};
 use afp_datalog::{
-    GroundOptions, IncrementalGrounder, RetractOutcome, RuleAssertOutcome, SafetyPolicy,
-    SymbolStore,
+    DeltaEffect, GroundOptions, IncrementalGrounder, RetractOutcome, RuleAssertOutcome,
+    SafetyPolicy, SymbolStore,
 };
 use afp_semantics::{Scheduler, Sequential, Wavefront};
 use std::sync::Arc;
@@ -291,13 +293,14 @@ impl Engine {
         self.load_program(program)
     }
 
-    /// Ground an already-parsed program into a reusable session.
+    /// Ground an already-parsed program into a reusable session. The
+    /// program is consumed: from here on the session's grounder is the
+    /// only record of it (repeated statements count once).
     pub fn load_program(&self, program: Program) -> Result<Session, Error> {
         let grounder = IncrementalGrounder::new(&program, &self.config.ground)?;
         Ok(Session {
             config: self.config.clone(),
             grounder: Some(grounder),
-            ast: Some(program),
             fixed: None,
             snapshot: None,
             dirty: Vec::new(),
@@ -316,7 +319,6 @@ impl Engine {
         Session {
             config: self.config.clone(),
             grounder: None,
-            ast: None,
             fixed: Some(ground),
             snapshot: None,
             dirty: Vec::new(),
@@ -465,13 +467,12 @@ stat_set!(SessionStats {
 });
 
 /// A loaded program: interned symbols, ground rules, and (for programs
-/// loaded from text or AST) the live grounder state for incremental fact
-/// updates. Produced by [`Engine::load`].
+/// loaded from source rather than [`Engine::load_ground`]) the live
+/// grounder state for incremental updates, which is also the session's
+/// one record of the source program. Produced by [`Engine::load`].
 pub struct Session {
     config: EngineBuilder,
     grounder: Option<IncrementalGrounder>,
-    /// Source program retained for the cold re-ground fallback.
-    ast: Option<Program>,
     fixed: Option<GroundProgram>,
     /// Copy-on-write snapshot handed to models; invalidated on mutation.
     snapshot: Option<Arc<GroundProgram>>,
@@ -543,15 +544,18 @@ impl Session {
         }
     }
 
-    /// The retained source program, rendered as re-parseable text — the
-    /// exact statement set the warm deltas have maintained (asserted
-    /// facts and rules present, retracted ones absent), one statement
-    /// per line. `None` for sessions loaded from a pre-ground program
-    /// ([`Engine::load_ground`]), which keep no AST. The [`crate::journal`]
-    /// layer serializes checkpoints from this text, so
+    /// The source program, rendered as re-parseable text from the
+    /// grounder's source state
+    /// ([`afp_datalog::IncrementalGrounder::source_program`]) — the exact
+    /// statement set the deltas have maintained (asserted facts and rules
+    /// present, retracted ones absent, each once), one statement per
+    /// line, rules first, then facts in atom-id order. `None` for
+    /// sessions loaded from a pre-ground program
+    /// ([`Engine::load_ground`]), which keep no source. The
+    /// [`crate::journal`] layer serializes checkpoints from this text, so
     /// `Engine::load(source_text())` reconstructs an equivalent session.
     pub fn source_text(&self) -> Option<String> {
-        self.ast.as_ref().map(|p| p.to_text())
+        self.grounder.as_ref().map(|g| g.source_program().to_text())
     }
 
     /// Assert ground facts, written as source text (e.g.
@@ -571,7 +575,7 @@ impl Session {
                     // resurrection (or the grounder is poisoned by an
                     // earlier mid-delta error); a warm delta could
                     // silently change old instances' semantics. Apply
-                    // every edit to the retained AST and re-ground once.
+                    // every edit to the source program and re-ground once.
                     return self.cold_update(&atoms, &symbols, true);
                 }
                 let ground_started = Instant::now();
@@ -583,23 +587,15 @@ impl Session {
                         // The grounder is poisoned: some consequence of a
                         // partially applied batch may be missing. Restore
                         // a consistent session by re-grounding cold from
-                        // the retained AST, which does not contain the
-                        // failed batch; the original error still
+                        // the grounder's source program, which the failed
+                        // batch left untouched; the original error still
                         // surfaces.
                         self.recover_if_poisoned();
                         return Err(e.into());
                     }
                 };
-                if effect.fresh {
-                    self.dirty.extend_from_slice(&effect.changed);
-                    self.note_mutation(&effect.changed, &effect.new_edge_targets, &effect.renames);
+                if self.absorb(&effect) {
                     self.stats.delta_rounds += 1;
-                }
-                // Mirror into the retained AST: a later cold fallback
-                // re-grounds from it and must see these facts.
-                let ast = self.ast.as_mut().expect("grounder sessions retain the AST");
-                for atom in &atoms {
-                    apply_fact_to_ast(ast, atom, &symbols, true);
                 }
             }
             None => {
@@ -642,27 +638,13 @@ impl Session {
                 self.phases.ground_ns += ground_started.elapsed().as_nanos() as u64;
                 match outcome {
                     RetractOutcome::Applied(effect) => {
-                        if effect.fresh {
-                            self.dirty.extend_from_slice(&effect.changed);
-                            self.note_mutation(
-                                &effect.changed,
-                                &effect.new_edge_targets,
-                                &effect.renames,
-                            );
-                        }
-                        // Mirror into the retained AST: a later cold
-                        // fallback re-grounds from it and must not
-                        // resurrect these facts.
-                        let ast = self.ast.as_mut().expect("grounder sessions retain the AST");
-                        for atom in &atoms {
-                            apply_fact_to_ast(ast, atom, &symbols, false);
-                        }
+                        self.absorb(&effect);
                     }
                     RetractOutcome::DomainShrunk => {
                         // Instances whose only positive subgoal was a
                         // stripped `$dom` guard would wrongly survive a
-                        // warm retract. Apply every edit to the retained
-                        // AST and re-ground once.
+                        // warm retract. Apply every edit to the source
+                        // program and re-ground once.
                         return self.cold_update(&atoms, &symbols, false);
                     }
                 }
@@ -720,21 +702,8 @@ impl Session {
                 self.phases.ground_ns += ground_started.elapsed().as_nanos() as u64;
                 match outcome {
                     Ok(RuleAssertOutcome::Applied(effect)) => {
-                        if effect.fresh {
-                            self.dirty.extend_from_slice(&effect.changed);
-                            self.note_mutation(
-                                &effect.changed,
-                                &effect.new_edge_targets,
-                                &effect.renames,
-                            );
+                        if self.absorb(&effect) {
                             self.stats.delta_rounds += 1;
-                        }
-                        // Mirror into the retained AST: a later cold
-                        // fallback re-grounds from it and must see these
-                        // rules.
-                        let ast = self.ast.as_mut().expect("grounder sessions retain the AST");
-                        for rule in &parsed.rules {
-                            apply_rule_to_ast(ast, rule, &parsed.symbols, true);
                         }
                     }
                     Ok(RuleAssertOutcome::NeedsCold) => {
@@ -774,18 +743,7 @@ impl Session {
                 self.phases.ground_ns += ground_started.elapsed().as_nanos() as u64;
                 match outcome {
                     RetractOutcome::Applied(effect) => {
-                        if effect.fresh {
-                            self.dirty.extend_from_slice(&effect.changed);
-                            self.note_mutation(
-                                &effect.changed,
-                                &effect.new_edge_targets,
-                                &effect.renames,
-                            );
-                        }
-                        let ast = self.ast.as_mut().expect("grounder sessions retain the AST");
-                        for rule in &parsed.rules {
-                            apply_rule_to_ast(ast, rule, &parsed.symbols, false);
-                        }
+                        self.absorb(&effect);
                     }
                     RetractOutcome::DomainShrunk => {
                         return self.cold_rule_update(&parsed.rules, &parsed.symbols, false);
@@ -852,7 +810,7 @@ impl Session {
         Ok(())
     }
 
-    /// Apply a batch of rule updates by editing the retained source
+    /// Apply a batch of rule updates by editing the grounder's source
     /// program and re-grounding cold **once** — the sound fallback where
     /// a warm rule delta is not. Commit-on-success, like
     /// [`Session::cold_update`].
@@ -862,26 +820,30 @@ impl Session {
         from: &SymbolStore,
         assert: bool,
     ) -> Result<(), Error> {
-        self.cold_reground(|ast| {
+        self.cold_reground(|program| {
             for rule in rules {
-                apply_rule_to_ast(ast, rule, from, assert);
+                apply_rule_to_ast(program, rule, from, assert);
             }
         })
     }
 
-    /// The shared cold-fallback protocol: clone the retained AST, let
-    /// `apply_edits` rewrite it, re-ground once, and commit AST +
-    /// grounder together. On a re-ground error (e.g. a budget) the
-    /// session keeps its previous AST and grounder, so the failed update
-    /// leaves no trace a later fallback could resurrect. Atom ids change
-    /// on success, so every piece of warm state is dropped.
+    /// The shared cold-fallback protocol: build the grounder's source
+    /// program, let `apply_edits` rewrite it, re-ground once, and replace
+    /// the grounder. On a re-ground error (e.g. a budget) the session
+    /// keeps its previous grounder, whose source state the failed update
+    /// never touched, so it leaves no trace a later fallback could
+    /// resurrect. Atom ids change on success, so every piece of warm
+    /// state is dropped.
     fn cold_reground(&mut self, apply_edits: impl FnOnce(&mut Program)) -> Result<(), Error> {
-        let mut ast = self.ast.clone().expect("grounder sessions retain the AST");
-        apply_edits(&mut ast);
+        let grounder = self
+            .grounder
+            .as_ref()
+            .expect("cold fallbacks need a grounder");
+        let mut program = grounder.source_program();
+        apply_edits(&mut program);
         let ground_started = Instant::now();
-        self.grounder = Some(IncrementalGrounder::new(&ast, &self.config.ground)?);
+        self.grounder = Some(IncrementalGrounder::new(&program, &self.config.ground)?);
         self.phases.ground_ns += ground_started.elapsed().as_nanos() as u64;
-        self.ast = Some(ast);
         self.stats.regrounds += 1;
         self.clear_warm_state();
         Ok(())
@@ -1119,7 +1081,7 @@ impl Session {
         })
     }
 
-    /// Apply a batch of fact updates by editing the retained source
+    /// Apply a batch of fact updates by editing the grounder's source
     /// program and re-grounding cold **once** — the sound fallback where
     /// a warm delta is not (see `assert_facts` / `retract_facts`).
     /// Commit-on-success; see [`Session::cold_reground`].
@@ -1129,27 +1091,24 @@ impl Session {
         from: &SymbolStore,
         assert: bool,
     ) -> Result<(), Error> {
-        self.cold_reground(|ast| {
+        self.cold_reground(|program| {
             for atom in atoms {
-                apply_fact_to_ast(ast, atom, from, assert);
+                apply_fact_to_ast(program, atom, from, assert);
             }
         })
     }
 
-    /// Re-ground cold from the retained AST after a mid-delta grounding
-    /// error poisoned the grounder. The AST never contains a failed
-    /// batch (mirroring happens only after the grounder succeeds), so a
-    /// successful recovery restores exactly the last consistent program
-    /// state. On failure the poisoned grounder is kept **as is** — its
-    /// `is_poisoned` flag stays set, so every later solve re-attempts
-    /// recovery (and surfaces the error) before trusting the grounding;
-    /// no path hands a half-extended program to a fixpoint computation.
+    /// Re-ground cold from the grounder's source program after a
+    /// mid-delta grounding error poisoned the grounder. A failed batch
+    /// takes its facts and rules back out of that source state before
+    /// poisoning, so a successful recovery restores exactly the last
+    /// consistent program. On failure the poisoned grounder is kept **as
+    /// is** — its `is_poisoned` flag stays set, so every later solve
+    /// re-attempts recovery (and surfaces the error) before trusting the
+    /// grounding; no path hands a half-extended program to a fixpoint
+    /// computation.
     fn recover_from_poison(&mut self) -> Result<(), Error> {
-        let ast = self.ast.clone().expect("grounder sessions retain the AST");
-        self.grounder = Some(IncrementalGrounder::new(&ast, &self.config.ground)?);
-        self.stats.regrounds += 1;
-        self.clear_warm_state();
-        Ok(())
+        self.cold_reground(|_| {})
     }
 
     /// Recovery entry point for the update error paths, where the
@@ -1172,14 +1131,25 @@ impl Session {
     /// Test-only fault injection: poison the live grounder and replace
     /// the session's grounding budgets, so the recovery re-ground can be
     /// driven into errors that are unreachable through the public API
-    /// (the retained AST always re-grounds within the budgets that
-    /// admitted it — see the double-fault regression test).
+    /// (the grounder's source program always re-grounds within the
+    /// budgets that admitted it — see the double-fault regression test).
     #[doc(hidden)]
     pub fn inject_grounder_fault_for_testing(&mut self, options: GroundOptions) {
         self.config.ground = options;
         if let Some(g) = self.grounder.as_mut() {
             g.poison_for_testing();
         }
+    }
+
+    /// Fold a warm grounder delta into the session: its changed heads
+    /// turn dirty and the memoized condensation is repaired. Returns
+    /// whether the delta changed anything.
+    fn absorb(&mut self, effect: &DeltaEffect) -> bool {
+        if effect.fresh {
+            self.dirty.extend_from_slice(&effect.changed);
+            self.note_mutation(&effect.changed, &effect.new_edge_targets, &effect.renames);
+        }
+        effect.fresh
     }
 
     /// The program mutated in place: models must re-snapshot, the
@@ -1368,9 +1338,8 @@ pub(crate) fn parse_fact_batch(facts: &str) -> Result<(Vec<Atom>, SymbolStore), 
     Ok((atoms, parsed.symbols))
 }
 
-/// Add or remove a ground fact in a retained source program. Idempotent
-/// in both directions; used by the warm update paths (to keep the AST in
-/// lockstep with the grounder) and by the cold fallback itself.
+/// Add or remove a ground fact in a source program about to be
+/// re-grounded cold. Idempotent in both directions.
 fn apply_fact_to_ast(
     ast: &mut Program,
     atom: &afp_datalog::ast::Atom,
@@ -1388,10 +1357,9 @@ fn apply_fact_to_ast(
     }
 }
 
-/// Add or remove a rule in a retained source program. Idempotent in both
-/// directions (rules are matched structurally); used by the warm rule
-/// delta paths to keep the AST in lockstep with the grounder and by the
-/// cold fallback itself.
+/// Add or remove a rule in a source program about to be re-grounded
+/// cold. Idempotent in both directions (rules are matched
+/// structurally).
 fn apply_rule_to_ast(
     ast: &mut Program,
     rule: &Rule,

@@ -1,7 +1,10 @@
 //! The unified `Engine` / `Session` facade: every semantics of the paper
 //! through one entry point, one `Model` type, and warm session reuse.
 
-use afp::{Engine, Error, Semantics, SessionStats, Strategy, Truth, WfStrategy};
+use afp::{
+    Engine, Error, JournalOptions, Semantics, Service, ServiceOptions, SessionStats, Strategy,
+    Truth, WfStrategy,
+};
 
 const WIN_MOVE: &str = "
     wins(X) :- move(X, Y), not wins(Y).
@@ -281,8 +284,8 @@ fn unsound_deltas_fall_back_to_cold_regrounding() {
 /// Cold fallbacks re-ground from the session's *current* fact set: a fact
 /// asserted warm survives a later cold retract, and a fact retracted warm
 /// stays gone through a later cold assert. (Regression: the warm paths
-/// once updated only the grounder, so the retained AST went stale and the
-/// cold fallback silently undid warm updates.)
+/// once updated only the grounder, so the then-separate source copy went
+/// stale and the cold fallback silently undid warm updates.)
 #[test]
 fn cold_fallback_sees_warm_updates() {
     use afp::SafetyPolicy;
@@ -346,6 +349,89 @@ fn cold_fallback_sees_warm_updates() {
         Truth::False,
         "warm-retracted fact stays gone through the cold fallback"
     );
+}
+
+/// A statement repeated in the loaded program is one statement, as it is
+/// on assert: one retract removes it. (Regression: load kept every copy
+/// in the grounder, so after one retract the warm model still derived
+/// the head while a reload of the checkpoint text, holding no copy, did
+/// not.) Each case checks warm == `Engine::load(source_text())` == a
+/// cold load of the deduplicated program, then the same through a
+/// journaled `Service`: checkpoint, recover, and compare heads.
+#[test]
+fn duplicate_statements_at_load_retract_as_one() {
+    // (program, the retract is a rule retract, retracted text, deduplicated
+    // program after the retract)
+    let cases = [
+        ("q. p :- q. p :- q.", true, "p :- q.", "q."),
+        ("r. r. t :- r.", false, "r.", "t :- r."),
+    ];
+    let atoms = ["p", "q", "r", "t"];
+    let engine = Engine::default();
+    for (src, rule, delta, deduped) in cases {
+        let mut session = engine.load(src).unwrap();
+        session.solve().unwrap();
+        if rule {
+            session.retract_rules(delta).unwrap();
+        } else {
+            session.retract_facts(delta).unwrap();
+        }
+        let warm = session.solve().unwrap();
+        let reloaded = engine.solve(&session.source_text().unwrap()).unwrap();
+        let cold = engine.solve(deduped).unwrap();
+        for atom in atoms {
+            assert_eq!(
+                warm.truth(atom, &[]),
+                cold.truth(atom, &[]),
+                "warm {atom} ({src})"
+            );
+            assert_eq!(
+                reloaded.truth(atom, &[]),
+                cold.truth(atom, &[]),
+                "reloaded {atom} ({src})"
+            );
+        }
+        assert_eq!(warm.truth("p", &[]), Truth::False);
+        assert_eq!(warm.truth("t", &[]), Truth::False);
+
+        // Journaled: the checkpoint is rendered from the same source
+        // state, so the recovered head equals the live one.
+        let dir =
+            std::env::temp_dir().join(format!("afp-dup-{}-{}", src.len(), std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let service = Service::with_journal(
+            engine.load(src).unwrap(),
+            ServiceOptions::default(),
+            &dir,
+            JournalOptions::default(),
+        )
+        .unwrap();
+        if rule {
+            service.retract_rules(delta).unwrap();
+        } else {
+            service.retract_facts(delta).unwrap();
+        }
+        service.checkpoint().unwrap();
+        let live: Vec<Truth> = atoms
+            .iter()
+            .map(|a| service.snapshot().truth(a, &[]))
+            .collect();
+        drop(service);
+        let recovered = Service::recover(
+            &engine,
+            &dir,
+            ServiceOptions::default(),
+            JournalOptions::default(),
+        )
+        .unwrap();
+        let head: Vec<Truth> = atoms
+            .iter()
+            .map(|a| recovered.snapshot().truth(a, &[]))
+            .collect();
+        assert_eq!(head, live, "recovered head vs live head ({src})");
+        drop(recovered);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
 
 /// The explain hook renders justifications for explainable semantics and

@@ -153,6 +153,14 @@ fn random_rule_and_fact_scripts_match_fresh_load() {
             }
             let cold = engine.solve(&cold_src).unwrap();
             assert_models_agree(&warm, &cold, &format!("at seed {seed} step {step}"));
+            // The checkpoint text, rendered from the grounder's source
+            // state, reloads to the same model at every step.
+            let reloaded = engine.solve(&session.source_text().unwrap()).unwrap();
+            assert_models_agree(
+                &warm,
+                &reloaded,
+                &format!("after reloading source_text() at seed {seed} step {step}"),
+            );
         }
         assert_eq!(
             session.stats().regrounds,
@@ -409,10 +417,11 @@ fn stable_search_budget_yields_partial_but_sound_models() {
 
 /// Regression (satellite): double fault — the grounder is poisoned *and*
 /// the recovery re-ground itself errors (injected: unreachable through
-/// the public API, since a retained AST always re-grounds within the
-/// budgets that admitted it). Every solve must surface the grounding
-/// error rather than trust the half-extended program, and the session
-/// must heal completely once re-grounding can succeed again.
+/// the public API, since the grounder's source program always
+/// re-grounds within the budgets that admitted it). Every solve must
+/// surface the grounding error rather than trust the half-extended
+/// program, and the session must heal completely once re-grounding can
+/// succeed again.
 #[test]
 fn double_fault_budget_error_during_recovery_never_serves_poisoned_state() {
     let src = "p(X, Y) :- d(X), d(Y). d(a). d(b).";
@@ -421,7 +430,7 @@ fn double_fault_budget_error_during_recovery_never_serves_poisoned_state() {
     let healthy = session.solve().unwrap();
     assert_eq!(healthy.truth("p", &["a", "b"]), Truth::True);
 
-    // Fault injection: poison + a budget no re-ground of this AST fits.
+    // Fault injection: poison + a budget no re-ground of this program fits.
     session.inject_grounder_fault_for_testing(GroundOptions {
         max_ground_rules: 2,
         ..Default::default()
@@ -437,8 +446,8 @@ fn double_fault_budget_error_during_recovery_never_serves_poisoned_state() {
     // the session state stays the last consistent one.
     assert!(session.assert_facts("d(c).").is_err());
 
-    // Restore workable budgets: the next solve recovers from the retained
-    // AST (which never saw the failed updates) and matches a fresh load.
+    // Restore workable budgets: the next solve recovers from the source
+    // program (which never saw the failed updates) and matches a fresh load.
     session.inject_grounder_fault_for_testing(GroundOptions::default());
     let after = session.solve().unwrap();
     let cold = engine.solve(src).unwrap();
@@ -452,8 +461,9 @@ fn double_fault_budget_error_during_recovery_never_serves_poisoned_state() {
 }
 
 /// Rule deltas compose with warm fact deltas in a single session: the
-/// mirrored AST keeps both kinds of edit, so a later cold fallback (here
-/// forced by a domain shrink) sees the complete current program.
+/// grounder's source state keeps both kinds of edit, so a later cold
+/// fallback (here forced by a domain shrink) sees the complete current
+/// program.
 #[test]
 fn cold_fallback_sees_warm_rule_and_fact_updates() {
     let engine = Engine::builder().safety(SafetyPolicy::ActiveDomain).build();
@@ -463,7 +473,7 @@ fn cold_fallback_sees_warm_rule_and_fact_updates() {
     session.assert_rules("t(X) :- p(X), not s(X).").unwrap();
     session.assert_facts("r(e).").unwrap();
     // Retract d's last references: DomainShrunk → cold re-ground from the
-    // mirrored AST, which must contain the rule and r(e).
+    // grounder's source program, which must contain the rule and r(e).
     session.retract_facts("r(d). s(d).").unwrap();
     let after = session.solve().unwrap();
     let cold = engine

@@ -207,8 +207,9 @@ fn fact_batches_run_one_delta_round() {
 
 /// Regression (ROADMAP): a rule-budget error mid-assert must not leave
 /// the session on a half-extended grounding. The grounder is poisoned
-/// and the session recovers by re-grounding cold from its retained AST —
-/// solves after the failure match a cold solve of the pre-batch state.
+/// and the session recovers by re-grounding cold from the grounder's
+/// source program — solves after the failure match a cold solve of the
+/// pre-batch state.
 #[test]
 fn budget_error_mid_assert_leaves_a_consistent_session() {
     let src = "p(X, Y) :- d(X), d(Y). d(a).";
@@ -242,6 +243,37 @@ fn budget_error_mid_assert_leaves_a_consistent_session() {
     let cold = engine.solve("p(X, Y) :- d(X), d(Y). d(a). d(b).").unwrap();
     assert_eq!(extended.partial_model(), cold.partial_model());
     assert_eq!(extended.truth("p", &["a", "b"]), Truth::True);
+}
+
+/// The rule-batch counterpart: an `assert_rules` batch (a fact plus a
+/// rule) that blows the ground-rule budget mid-delta leaves the source
+/// state untouched. The grounder takes the batch's fact and rule back out
+/// before it is poisoned, so `source_text()` is unchanged and the next
+/// solve matches a cold solve of the pre-batch program.
+#[test]
+fn budget_error_mid_rule_assert_leaves_the_source_untouched() {
+    let src = "q(X) :- d(X). d(a). d(b). d(c).";
+    let engine = Engine::builder()
+        .ground_options(GroundOptions {
+            max_ground_rules: 8,
+            ..Default::default()
+        })
+        .build();
+    let mut session = engine.load(src).unwrap(); // 3 facts + 3 instances
+    session.solve().unwrap();
+    let before = session.source_text().unwrap();
+
+    // 4 constants → 16 instances of the new rule: over budget mid-batch.
+    let err = session.assert_rules("d(e). p(X, Y) :- d(X), d(Y).");
+    assert!(matches!(err, Err(Error::Ground(_))), "budget must surface");
+    assert_eq!(session.source_text().unwrap(), before);
+
+    let after = session.solve().unwrap();
+    let cold = engine.solve(src).unwrap();
+    assert_eq!(after.partial_model(), cold.partial_model());
+    assert_eq!(after.truth("d", &["e"]), Truth::False);
+    assert_eq!(after.truth("p", &["a", "a"]), Truth::False);
+    assert!(session.stats().regrounds >= 1, "recovery re-grounds");
 }
 
 /// Retracting a *derived* conclusion is a no-op, even when its ground
